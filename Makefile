@@ -1,12 +1,12 @@
 CARGO ?= cargo
 
-.PHONY: verify build test test-scalar clippy fmt bench-discovery bench-smoke serve-smoke trace-smoke chaos-smoke load-smoke fleet-smoke stream-smoke
+.PHONY: verify build test test-scalar test-perfbench clippy fmt bench-discovery bench-smoke serve-smoke trace-smoke chaos-smoke load-smoke fleet-smoke stream-smoke
 
 ## Seeds the chaos harness runs at (CI runs all three and uploads the logs).
 CHAOS_SEEDS ?= 42 7 1234
 
 ## Full local verification: what CI runs, in the same order.
-verify: build test test-scalar clippy fmt fleet-smoke stream-smoke
+verify: build test test-scalar test-perfbench clippy fmt fleet-smoke stream-smoke
 
 build:
 	$(CARGO) build --release
@@ -19,6 +19,12 @@ test:
 ## cross-backend bit-identity tests cover the other direction).
 test-scalar:
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet-tensor
+
+## The benchmark (perfbench/) is a separate workspace that links the
+## program crates by path: building and unit-testing it here catches an API
+## break before the benchmark run does.
+test-perfbench:
+	$(CARGO) test --release --manifest-path perfbench/Cargo.toml
 
 clippy:
 	$(CARGO) clippy --all-targets -- -D warnings

@@ -15,7 +15,7 @@
 //! Run: `cargo run --release -p cohortnet-bench --bin ablation_incremental`
 
 use cohortnet::cdm::mine_patterns;
-use cohortnet::discover::{batch_states, discover};
+use cohortnet::discover::discover;
 use cohortnet::train::train_without_cohorts;
 use cohortnet_bench::datasets::mimic3;
 use cohortnet_bench::registry::{cohortnet_config, RunOptions};
@@ -67,8 +67,15 @@ fn main() {
         for chunk in (0..np).collect::<Vec<_>>().chunks(cfg.batch_size) {
             let batch = make_batch(pp, chunk);
             let mut tape = Tape::new();
-            let trace = mflm.forward(&mut tape, ps, &batch, false);
-            let bs = batch_states(&tape, &trace, &batch, &d_half.states);
+            let trace = mflm.forward(
+                &mut tape,
+                ps,
+                &batch.steps,
+                &batch.mask,
+                Some(&d_half.states),
+                false,
+            );
+            let bs = trace.states.as_ref().expect("state model given");
             for (r, &p) in chunk.iter().enumerate() {
                 states[p * t_steps * nf..(p + 1) * t_steps * nf]
                     .copy_from_slice(&bs[r * t_steps * nf..(r + 1) * t_steps * nf]);

@@ -53,7 +53,9 @@ impl CohortNetWcMinus {
         for chunk in indices.chunks(64) {
             let batch = make_batch(prep, chunk);
             let mut t = Tape::new();
-            let trace = self.mflm.forward(&mut t, ps, &batch, false);
+            let trace = self
+                .mflm
+                .forward(&mut t, ps, &batch.steps, &batch.mask, None, false);
             rows.extend_from_slice(t.value(trace.tilde_h).as_slice());
         }
         Matrix::from_vec(prep.patients.len(), self.tilde_dim, rows)
@@ -71,7 +73,9 @@ impl SequenceModel for CohortNetWcMinus {
     }
 
     fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
-        let trace = self.mflm.forward(t, ps, batch, false);
+        let trace = self
+            .mflm
+            .forward(t, ps, &batch.steps, &batch.mask, None, false);
         if self.cohorts.is_empty() {
             return trace.logits;
         }
@@ -105,7 +109,7 @@ impl SequenceModel for CohortNetWcMinus {
                 .copy_from_slice(&self.cohorts[best * self.repr_dim..(best + 1) * self.repr_dim]);
         }
         let kn = t.constant(knowledge);
-        let calib = self.calib_head.forward(t, ps, kn);
+        let calib = self.calib_head.forward(t, ps, &kn);
         t.add(trace.logits, calib)
     }
 

@@ -11,7 +11,7 @@
 use crate::config::CohortNetConfig;
 use crate::crlm::CohortPool;
 use cohortnet_tensor::nn::Linear;
-use cohortnet_tensor::{Matrix, ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, Matrix, ParamStore, Var};
 use rand::rngs::StdRng;
 
 /// The Cohort Exploitation Module.
@@ -25,18 +25,23 @@ pub struct Cem {
     pub d_value: usize,
 }
 
-/// Intermediate values of a CEM forward pass, kept for interpretation.
-pub struct CemTrace {
+/// Intermediate values of a CEM forward pass, kept for interpretation. `V`
+/// is the executor's value handle: [`Var`] on the tape.
+pub struct CemTrace<V = Var> {
     /// Cohort-calibration logits `w^c · ĥ` (`batch x n_labels`).
-    pub logits: Var,
+    pub logits: V,
     /// Patient-level cohort representation `ĥ` (`batch x F*d_v`).
-    pub h_hat: Var,
+    pub h_hat: V,
     /// Per-feature cohort attention `β_i` (`batch x |C_i|`), `None` for
     /// features without cohorts.
-    pub attention: Vec<Option<Var>>,
+    pub attention: Vec<Option<V>>,
     /// Per-feature cohort context `h'_i` (`batch x d_v`).
-    pub contexts: Vec<Var>,
+    pub contexts: Vec<V>,
 }
+
+/// Per-anchor cohort keys `W_K · C_i` (`|C_i| x d_att`) and values
+/// `W_V · C_i` (`|C_i| x d_v`), `None` for anchors without cohorts.
+pub type CohortKv<V> = Vec<Option<(V, V)>>;
 
 impl Cem {
     /// Builds the module, registering parameters in `ps`.
@@ -89,53 +94,65 @@ impl Cem {
         (&self.wq, &self.wk, &self.wv)
     }
 
+    /// Projects every anchor's constant cohort matrix (Eq. 9) into its keys
+    /// and values (Eq. 11/13). The tape runs this on every forward, so
+    /// gradients reach `W_K` / `W_V`; serving runs it once at compile time.
+    pub fn cohort_kv<E: Exec>(
+        &self,
+        e: &mut E,
+        ps: &E::Params,
+        pool: &CohortPool,
+    ) -> CohortKv<E::V> {
+        (0..pool.per_feature.len())
+            .map(|i| {
+                if pool.per_feature[i].is_empty() {
+                    return None;
+                }
+                let c_i = e.constant(pool.cohort_matrix(i));
+                let keys = self.wk.forward(e, ps, &c_i);
+                let values = self.wv.forward(e, ps, &c_i);
+                Some((keys, values))
+            })
+            .collect()
+    }
+
     /// Runs cohort exploitation for a batch.
     ///
+    /// * `kv` — per-anchor keys/values from [`Cem::cohort_kv`];
     /// * `h_final[i]` — the MFLM channel representation `h_i^T`
     ///   (`batch x d_h`);
-    /// * `bitmaps[i]` — row-major `(batch x |C_i|)` relevance bits from
-    ///   Eq. 10.
-    pub fn forward(
+    /// * `bitmaps[r][i]` — row `r`'s packed Eq. 10 relevance words for
+    ///   anchor `i` (bit `q` is word `q / 64`, bit `q % 64`), the layout of
+    ///   [`crate::index::CohortIndex::bitmap_words`]; one entry per row.
+    pub fn forward<E: Exec>(
         &self,
-        t: &mut Tape,
-        ps: &ParamStore,
-        pool: &CohortPool,
-        h_final: &[Var],
-        bitmaps: &[Vec<bool>],
-        batch: usize,
-    ) -> CemTrace {
-        let nf = h_final.len();
-        let mut contexts = Vec::with_capacity(nf);
-        let mut attention = Vec::with_capacity(nf);
-        for i in 0..nf {
-            let n_cohorts = pool.per_feature[i].len();
-            if n_cohorts == 0 {
-                contexts.push(t.constant(Matrix::zeros(batch, self.d_value)));
+        e: &mut E,
+        ps: &E::Params,
+        kv: &[Option<(E::V, E::V)>],
+        h_final: &[E::V],
+        bitmaps: &[Vec<Vec<u64>>],
+    ) -> CemTrace<E::V> {
+        let batch = bitmaps.len();
+        let mut contexts = Vec::with_capacity(h_final.len());
+        let mut attention = Vec::with_capacity(h_final.len());
+        for (i, h) in h_final.iter().enumerate() {
+            let Some((keys, values)) = &kv[i] else {
+                contexts.push(e.constant(Matrix::zeros(batch, self.d_value)));
                 attention.push(None);
                 continue;
-            }
-            // Constant cohort representations; keys/values are learned
-            // projections of them (gradients flow into W_K / W_V).
-            let c_i = t.constant(pool.cohort_matrix(i));
-            let keys = self.wk.forward(t, ps, c_i); // |C_i| x d_att
-            let values = self.wv.forward(t, ps, c_i); // |C_i| x d_v
-            let q = self.wq.forward(t, ps, h_final[i]); // batch x d_att
-            let kt = t.transpose(keys);
-            let scores = t.matmul(q, kt); // batch x |C_i|
-                                          // Mask out irrelevant cohorts (b = 0) with a large negative
-                                          // offset; rows with no relevant cohort at all are zeroed after.
-            let bits = &bitmaps[i];
-            debug_assert_eq!(
-                bits.len(),
-                batch * n_cohorts,
-                "bitmap shape for feature {i}"
-            );
+            };
+            let n_cohorts = e.value(keys).rows();
+            let q = self.wq.forward(e, ps, h); // batch x d_att
+            let scores = e.matmul_nt(&q, keys); // batch x |C_i|
+                                                // Mask out irrelevant cohorts (b = 0) with a large negative
+                                                // offset; rows with no relevant cohort at all are zeroed after.
             let mut mask = Matrix::zeros(batch, n_cohorts);
             let mut any = Matrix::zeros(batch, 1);
-            for r in 0..batch {
+            for (r, row_bits) in bitmaps.iter().enumerate() {
+                let bits = &row_bits[i];
                 let mut has = false;
                 for qx in 0..n_cohorts {
-                    if bits[r * n_cohorts + qx] {
+                    if bits[qx >> 6] >> (qx & 63) & 1 == 1 {
                         has = true;
                     } else {
                         mask[(r, qx)] = -1e9;
@@ -143,17 +160,17 @@ impl Cem {
                 }
                 any[(r, 0)] = f32::from(has);
             }
-            let mask_c = t.constant(mask);
-            let any_c = t.constant(any);
-            let masked = t.add(scores, mask_c);
-            let beta = t.softmax_rows(masked); // Eq. 12
-            let ctx_raw = t.matmul(beta, values); // Eq. 13
-            let ctx = t.mul_col_broadcast(ctx_raw, any_c);
+            let mask_c = e.constant(mask);
+            let any_c = e.constant(any);
+            let masked = e.add(&scores, &mask_c);
+            let beta = e.softmax_rows(&masked); // Eq. 12
+            let ctx_raw = e.matmul(&beta, values); // Eq. 13
+            let ctx = e.mul_col_broadcast(&ctx_raw, &any_c);
             contexts.push(ctx);
             attention.push(Some(beta));
         }
-        let h_hat = t.concat_cols(&contexts);
-        let logits = self.head.forward(t, ps, h_hat);
+        let h_hat = e.concat_cols(&contexts.iter().collect::<Vec<_>>());
+        let logits = self.head.forward(e, ps, &h_hat);
         CemTrace {
             logits,
             h_hat,
@@ -167,7 +184,35 @@ impl Cem {
 mod tests {
     use super::*;
     use crate::cdm::mine_patterns;
+    use crate::index::pack_bits;
+    use cohortnet_tensor::Tape;
     use rand::SeedableRng;
+
+    /// Runs [`Cem::forward`] on the tape from per-anchor row-major
+    /// `(batch x |C_i|)` relevance bits.
+    fn run(
+        cem: &Cem,
+        tape: &mut Tape,
+        ps: &ParamStore,
+        pool: &CohortPool,
+        h_final: &[Var],
+        bits: &[Vec<bool>],
+        batch: usize,
+    ) -> CemTrace {
+        let kv = cem.cohort_kv(tape, ps, pool);
+        let rows: Vec<Vec<Vec<u64>>> = (0..batch)
+            .map(|r| {
+                bits.iter()
+                    .enumerate()
+                    .map(|(i, b)| {
+                        let nc = pool.per_feature[i].len();
+                        pack_bits(&b[r * nc..(r + 1) * nc])
+                    })
+                    .collect()
+            })
+            .collect();
+        cem.forward(tape, ps, &kv, h_final, &rows)
+    }
 
     fn tiny_pool(cfg: &CohortNetConfig) -> CohortPool {
         let masks = vec![vec![0, 1], vec![0, 1]];
@@ -208,7 +253,7 @@ mod tests {
             bits0[nc + q] = true;
         }
         let bits1 = bits0.clone();
-        let trace = cem.forward(&mut tape, &ps, &pool, &[h0, h1], &[bits0, bits1], 3);
+        let trace = run(&cem, &mut tape, &ps, &pool, &[h0, h1], &[bits0, bits1], 3);
         assert_eq!(tape.value(trace.logits).shape(), (3, 1));
         assert_eq!(tape.value(trace.h_hat).shape(), (3, 2 * cfg.d_value));
         // Patient 0's attention concentrates fully on cohort 0.
@@ -233,7 +278,15 @@ mod tests {
         let h1 = tape.constant(Matrix::full(2, 4, -0.4));
         let nc = pool.per_feature[0].len();
         let bits = vec![true; 2 * nc];
-        let trace = cem.forward(&mut tape, &ps, &pool, &[h0, h1], &[bits.clone(), bits], 2);
+        let trace = run(
+            &cem,
+            &mut tape,
+            &ps,
+            &pool,
+            &[h0, h1],
+            &[bits.clone(), bits],
+            2,
+        );
         assert!(tape
             .value(trace.logits)
             .as_slice()
@@ -258,7 +311,15 @@ mod tests {
         let h1 = tape.constant(Matrix::full(2, 4, 0.1));
         let nc = pool.per_feature[0].len();
         let bits = vec![true; 2 * nc];
-        let trace = cem.forward(&mut tape, &ps, &pool, &[h0, h1], &[bits.clone(), bits], 2);
+        let trace = run(
+            &cem,
+            &mut tape,
+            &ps,
+            &pool,
+            &[h0, h1],
+            &[bits.clone(), bits],
+            2,
+        );
         let loss = tape.bce_with_logits(trace.logits, Matrix::from_vec(2, 1, vec![1.0, 0.0]));
         tape.backward(loss);
         tape.flush_grads(&mut ps);
@@ -284,7 +345,8 @@ mod tests {
         let h0 = tape.constant(Matrix::full(1, 4, 0.5));
         let h1 = tape.constant(Matrix::full(1, 4, 0.5));
         let nc = pool.per_feature[0].len();
-        let trace = cem.forward(
+        let trace = run(
+            &cem,
             &mut tape,
             &ps,
             &pool,

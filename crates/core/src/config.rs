@@ -174,6 +174,16 @@ impl CohortNetConfig {
                 self.n_top + 1
             ));
         }
+        // BiEL (Eq. 1) clamps every value into its feature's bounds:
+        // `f32::clamp` panics on `lo > hi` or a NaN bound, and an infinite
+        // bound turns the interpolation weights into NaN.
+        for (f, &(lo, hi)) in self.bounds.iter().enumerate() {
+            if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+                return Err(format!(
+                    "bounds[{f}] = ({lo}, {hi}): feature bounds must be finite with lo <= hi"
+                ));
+            }
+        }
         Ok(())
     }
 

@@ -18,8 +18,8 @@
 use crate::cdm::{build_masks, mine_patterns_threads, FeatureStates, StateSampler};
 use crate::config::CohortNetConfig;
 use crate::crlm::CohortPool;
-use crate::mflm::{Mflm, MflmTrace};
-use cohortnet_models::data::{make_batch, Batch, Prepared};
+use crate::mflm::Mflm;
+use cohortnet_models::data::{make_batch, Prepared};
 use cohortnet_obs::{obs_debug, obs_info};
 use cohortnet_tensor::{Matrix, ParamStore, Tape};
 use rand::rngs::StdRng;
@@ -151,24 +151,6 @@ pub struct Discovery {
     pub timing: DiscoveryTiming,
 }
 
-/// Assigns the state grid for one batch from a recorded MFLM trace:
-/// row-major `(batch x (T x F))` — per patient, `T*F` states.
-pub fn batch_states(tape: &Tape, trace: &MflmTrace, batch: &Batch, fs: &FeatureStates) -> Vec<u8> {
-    let t_steps = trace.o.len();
-    let nf = trace.o.first().map_or(0, Vec::len);
-    let mut out = vec![0u8; batch.size * t_steps * nf];
-    for (t, o_step) in trace.o.iter().enumerate() {
-        for (f, &o) in o_step.iter().enumerate() {
-            let values = tape.value(o);
-            for r in 0..batch.size {
-                let present = batch.mask[(r, f)] > 0.5;
-                out[r * t_steps * nf + t * nf + f] = fs.assign(f, values.row(r), present);
-            }
-        }
-    }
-    out
-}
-
 /// Runs the full discovery pipeline (Steps 2 + 3) over a training set with
 /// the paper's K-Means state modelling.
 pub fn discover(
@@ -249,7 +231,7 @@ pub fn discover_with_algo(
             .map(|chunk| {
                 let batch = make_batch(prep, chunk);
                 tape.reset();
-                let trace = mflm.forward(&mut tape, ps, &batch, false);
+                let trace = mflm.forward(&mut tape, ps, &batch.steps, &batch.mask, None, false);
                 let mut offers = Vec::new();
                 for o_step in &trace.o {
                     for (f, &o) in o_step.iter().enumerate() {
@@ -311,8 +293,15 @@ pub fn discover_with_algo(
             .map(|chunk| {
                 let batch = make_batch(prep, chunk);
                 tape.reset();
-                let trace = mflm.forward(&mut tape, ps, &batch, false);
-                let bs = batch_states(&tape, &trace, &batch, states_ref);
+                let trace = mflm.forward(
+                    &mut tape,
+                    ps,
+                    &batch.steps,
+                    &batch.mask,
+                    Some(states_ref),
+                    false,
+                );
+                let bs = trace.states.as_ref().expect("state model given");
                 let rows = chunk
                     .iter()
                     .enumerate()
@@ -438,8 +427,15 @@ mod tests {
         let d = discover(&mflm, &ps, &prep, &cfg, &mut rng);
         let batch = make_batch(&prep, &[3, 7]);
         let mut tape = Tape::new();
-        let trace = mflm.forward(&mut tape, &ps, &batch, false);
-        let bs = batch_states(&tape, &trace, &batch, &d.states);
+        let trace = mflm.forward(
+            &mut tape,
+            &ps,
+            &batch.steps,
+            &batch.mask,
+            Some(&d.states),
+            false,
+        );
+        let bs = trace.states.expect("state model given");
         assert_eq!(bs.len(), 2 * prep.time_steps * prep.n_features);
         // Missing features always map to state 0.
         for r in 0..2 {

@@ -180,6 +180,17 @@ impl CohortIndex {
     }
 }
 
+/// Packs an unpacked bitmap (e.g. [`CohortPool::bitmap`]) into the word
+/// layout of [`CohortIndex::bitmap_words`]: bit `q` is word `q / 64`, bit
+/// `q % 64`.
+pub(crate) fn pack_bits(bits: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; CohortIndex::words_for(bits.len())];
+    for (q, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+        words[q / 64] |= 1u64 << (q % 64);
+    }
+    words
+}
+
 /// Incremental probe cache for scoring the *same patient* repeatedly as
 /// their state grid evolves (the streaming-ingestion path).
 ///

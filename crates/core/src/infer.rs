@@ -1,18 +1,20 @@
-//! Inference-only forward path for serving (no autodiff tape).
+//! Inference-only scoring for serving (no autodiff tape).
 //!
 //! [`Inferencer::compile`] snapshots a trained [`CohortNetModel`]'s weights
-//! out of the [`ParamStore`] into plain matrices, precomputes everything that
-//! is constant per model — the CEM cohort keys/values (projections of the
-//! constant cohort matrices of Eq. 9) and the packed [`CohortIndex`] for
-//! Eq. 10 matching — and then [`Inferencer::score`] replays the exact
-//! training-time forward pass using the gradient-free op mirrors of
-//! [`cohortnet_tensor::infer`].
+//! into a per-parameter [`Weights`] table (f32, or the int8 trunk of
+//! [`crate::quant`]), precomputes everything that is constant per model —
+//! the CEM cohort keys/values ([`Cem::cohort_kv`]) and the packed
+//! [`CohortIndex`] for Eq. 10 matching — and then [`Inferencer::score`] runs
+//! the model's own forward ([`crate::mflm::Mflm::forward`],
+//! [`Cem::forward`]) on the non-recording [`Eval`] executor. This module
+//! holds no model arithmetic: only compilation, minibatch assembly and
+//! output assembly.
 //!
 //! Two contracts, both test-enforced:
 //!
 //! * **bit-identity** — `score` logits equal [`CohortNetModel::forward_trace`]
-//!   logits to the bit, because every mirror op computes the identical
-//!   expression with the identical iteration order and the same GEMM kernel;
+//!   logits to the bit, because the forward is the same code and every
+//!   [`cohortnet_tensor::Exec`] op computes the same bits on either executor;
 //! * **row independence** — every op maps batch row `r` to output row `r`
 //!   without reading other rows, so a patient's scores do not depend on which
 //!   other patients share the minibatch (or on how many worker threads the
@@ -20,141 +22,14 @@
 //!   requests into one batch without changing any response.
 
 use crate::cdm::FeatureStates;
+use crate::cem::{Cem, CohortKv};
 use crate::index::{CohortIndex, IndexCache};
+use crate::mflm::Mflm;
 use crate::model::CohortNetModel;
 use crate::quant::QuantTable;
 use cohortnet_parallel::par_map;
-use cohortnet_tensor::infer::{
-    add_row_broadcast, gate_sigmoid, gate_tanh, gru_blend, mul_col_broadcast, sigmoid, tanh,
-};
-use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::quant::{qgemm, QuantMatrix};
+use cohortnet_tensor::exec::{Eval, Weights};
 use cohortnet_tensor::{Matrix, ParamStore};
-
-/// A trunk weight matrix in either precision: the f32 snapshot (bit-identical
-/// to training) or the int8 per-channel quantization (snapshot-anchored
-/// reproducibility, see [`crate::quant`]).
-#[derive(Debug, Clone)]
-enum MatW {
-    F32(Matrix),
-    Quant(QuantMatrix),
-}
-
-impl MatW {
-    /// `x · W` through whichever kernel this weight carries.
-    fn apply(&self, x: &Matrix) -> Matrix {
-        match self {
-            MatW::F32(w) => x.matmul(w),
-            MatW::Quant(q) => {
-                let mut out = Matrix::zeros(x.rows(), q.n());
-                qgemm(x, q, &mut out);
-                out
-            }
-        }
-    }
-}
-
-/// Resolves one trunk weight: f32 from the param store, or its int8
-/// quantization when a table is active (the table is built from the same
-/// enumeration, so a missing name is a programming error, not bad data).
-fn trunk_w(table: Option<&QuantTable>, name: &str, w: &Matrix) -> MatW {
-    match table {
-        Some(t) => MatW::Quant(
-            t.get(name)
-                .unwrap_or_else(|| panic!("quant table is missing trunk tensor {name:?}"))
-                .clone(),
-        ),
-        None => MatW::F32(w.clone()),
-    }
-}
-
-/// A weight-snapshot of a [`Linear`] layer.
-#[derive(Debug, Clone)]
-struct LinW {
-    w: MatW,
-    b: Option<Matrix>,
-}
-
-impl LinW {
-    fn from(lin: &Linear, ps: &ParamStore) -> Self {
-        LinW {
-            w: MatW::F32(ps.value(lin.weight()).clone()),
-            b: lin.bias().map(|b| ps.value(b).clone()),
-        }
-    }
-
-    /// Like [`LinW::from`] but quantizing the weight through `table` when
-    /// one is active (biases always stay f32 — they are added once at the
-    /// epilogue and cost nothing).
-    fn from_trunk(lin: &Linear, ps: &ParamStore, table: Option<&QuantTable>, name: &str) -> Self {
-        LinW {
-            w: trunk_w(table, name, ps.value(lin.weight())),
-            b: lin.bias().map(|b| ps.value(b).clone()),
-        }
-    }
-
-    /// Mirrors [`Linear::forward`]: matmul plus optional bias broadcast.
-    fn forward(&self, x: &Matrix) -> Matrix {
-        let xw = self.w.apply(x);
-        match &self.b {
-            Some(b) => add_row_broadcast(&xw, b),
-            None => xw,
-        }
-    }
-}
-
-/// A weight-snapshot of a [`GruCell`].
-#[derive(Debug, Clone)]
-struct GruW {
-    wz: MatW,
-    uz: MatW,
-    bz: Matrix,
-    wr: MatW,
-    ur: MatW,
-    br: Matrix,
-    wh: MatW,
-    uh: MatW,
-    bh: Matrix,
-    hidden: usize,
-}
-
-impl GruW {
-    fn from(cell: &GruCell, ps: &ParamStore, table: Option<&QuantTable>, prefix: &str) -> Self {
-        let p = cell.params();
-        let w = |id, suffix: &str| trunk_w(table, &format!("{prefix}.{suffix}"), ps.value(id));
-        GruW {
-            wz: w(p.wz, "wz"),
-            uz: w(p.uz, "uz"),
-            bz: ps.value(p.bz).clone(),
-            wr: w(p.wr, "wr"),
-            ur: w(p.ur, "ur"),
-            br: ps.value(p.br).clone(),
-            wh: w(p.wh, "wh"),
-            uh: w(p.uh, "uh"),
-            bh: ps.value(p.bh).clone(),
-            hidden: ps.value(p.uz).rows(),
-        }
-    }
-
-    /// Mirrors [`GruCell::step`] node-for-node.
-    fn step(&self, x: &Matrix, h: &Matrix) -> Matrix {
-        let z = gate_sigmoid(&self.wz.apply(x), &self.uz.apply(h), &self.bz);
-        let r = gate_sigmoid(&self.wr.apply(x), &self.ur.apply(h), &self.br);
-        let rh = r.mul(h);
-        let cand = gate_tanh(&self.wh.apply(x), &self.uh.apply(&rh), &self.bh);
-        gru_blend(&z, h, &cand)
-    }
-}
-
-/// A weight-snapshot of one BiEL channel (Eq. 1).
-#[derive(Debug, Clone)]
-struct BielW {
-    v_a: Matrix,
-    v_b: Matrix,
-    v_m: Matrix,
-    lo: f32,
-    hi: f32,
-}
 
 /// The cohort-calibration half of the compiled model (absent for a model
 /// that never ran discovery — the `w/o c` configuration).
@@ -162,15 +37,7 @@ struct BielW {
 struct CohortPath {
     states: FeatureStates,
     index: CohortIndex,
-    n_cohorts: Vec<usize>,
-    /// Precomputed `W_K · C_i` per feature (`|C_i| x d_att`).
-    keys: Vec<Matrix>,
-    /// Precomputed `W_V · C_i` per feature (`|C_i| x d_v`).
-    values: Vec<Matrix>,
-    wq: LinW,
-    /// The bias-free calibration head weight `w^c`.
-    head_w: Matrix,
-    d_value: usize,
+    kv: CohortKv<Matrix>,
 }
 
 /// One scored minibatch.
@@ -213,26 +80,32 @@ pub struct ScoreRequest {
     pub mask: Vec<f32>,
 }
 
+impl ScoreOutput {
+    /// Combines the individual-path logits with the optional calibration
+    /// logits (Eq. 14) and applies the sigmoid.
+    fn new(base_logits: Matrix, cem_logits: Option<Matrix>) -> ScoreOutput {
+        let logits = match &cem_logits {
+            Some(c) => base_logits.add(c),
+            None => base_logits.clone(),
+        };
+        ScoreOutput {
+            probs: logits.map(|x| 1.0 / (1.0 + (-x).exp())),
+            logits,
+            base_logits,
+            cem_logits,
+        }
+    }
+}
+
 /// A compiled, tape-free CohortNet ready for online scoring.
 #[derive(Debug, Clone)]
 pub struct Inferencer {
-    nf: usize,
-    d_embed: usize,
-    d_trend: usize,
+    mflm: Mflm,
+    cem: Cem,
+    weights: Weights,
+    cohorts: Option<CohortPath>,
     n_labels: usize,
     time_steps: usize,
-    use_interactions: bool,
-    use_trends: bool,
-    biel: Vec<BielW>,
-    fil_q: LinW,
-    fil_k: LinW,
-    fil_v: LinW,
-    lgru: Vec<GruW>,
-    feafus: LinW,
-    ggru: Vec<GruW>,
-    agg: LinW,
-    head: LinW,
-    cohorts: Option<CohortPath>,
     quantized: bool,
 }
 
@@ -266,73 +139,29 @@ impl Inferencer {
         time_steps: usize,
         table: Option<&QuantTable>,
     ) -> Self {
-        let mflm = &model.mflm;
-        let nf = mflm.n_features();
-        let biel = (0..nf)
-            .map(|f| {
-                let p = mflm.biel_params(f);
-                BielW {
-                    v_a: ps.value(p.v_a).clone(),
-                    v_b: ps.value(p.v_b).clone(),
-                    v_m: ps.value(p.v_m).clone(),
-                    lo: p.bound_lo,
-                    hi: p.bound_hi,
-                }
-            })
-            .collect();
-        let (wq, wk, wv) = mflm.fil_projections();
-        let cohorts = model.discovery.as_ref().map(|d| {
-            let (cq, ck, cv) = model.cem.projections();
-            let ckw = LinW::from(ck, ps);
-            let cvw = LinW::from(cv, ps);
-            let mut keys = Vec::with_capacity(nf);
-            let mut values = Vec::with_capacity(nf);
-            let mut n_cohorts = Vec::with_capacity(nf);
-            for i in 0..nf {
-                let nc = d.pool.per_feature[i].len();
-                n_cohorts.push(nc);
-                if nc == 0 {
-                    keys.push(Matrix::zeros(0, 0));
-                    values.push(Matrix::zeros(0, 0));
-                } else {
-                    let c_i = d.pool.cohort_matrix(i);
-                    keys.push(ckw.forward(&c_i));
-                    values.push(cvw.forward(&c_i));
-                }
+        let mut weights = Weights::from_store(ps);
+        if let Some(table) = table {
+            // The table is built from the same enumeration, so a missing
+            // name is a programming error, not bad data.
+            for (name, id) in model.mflm.quant_trunk() {
+                let q = table
+                    .get(&name)
+                    .unwrap_or_else(|| panic!("quant table is missing trunk tensor {name:?}"));
+                weights.set_int8(id, q.clone());
             }
-            CohortPath {
-                states: d.states.clone(),
-                index: CohortIndex::compile(&d.pool),
-                n_cohorts,
-                keys,
-                values,
-                wq: LinW::from(cq, ps),
-                head_w: ps.value(model.cem.head().weight()).clone(),
-                d_value: model.cem.d_value,
-            }
+        }
+        let cohorts = model.discovery.as_ref().map(|d| CohortPath {
+            states: d.states.clone(),
+            index: CohortIndex::compile(&d.pool),
+            kv: model.cem.cohort_kv(&mut Eval, &weights, &d.pool),
         });
         Inferencer {
-            nf,
-            d_embed: mflm.d_embed,
-            d_trend: mflm.d_trend,
+            mflm: model.mflm.clone(),
+            cem: model.cem.clone(),
+            weights,
+            cohorts,
             n_labels: model.cfg.n_labels,
             time_steps,
-            use_interactions: mflm.interactions_enabled(),
-            use_trends: mflm.trends_enabled(),
-            biel,
-            fil_q: LinW::from_trunk(wq, ps, table, "mflm.fil.q"),
-            fil_k: LinW::from_trunk(wk, ps, table, "mflm.fil.k"),
-            fil_v: LinW::from_trunk(wv, ps, table, "mflm.fil.v"),
-            lgru: (0..nf)
-                .map(|f| GruW::from(mflm.lgru(f), ps, table, &format!("mflm.lgru.{f}")))
-                .collect(),
-            feafus: LinW::from_trunk(mflm.feafus(), ps, table, "mflm.feafus"),
-            ggru: (0..nf)
-                .map(|f| GruW::from(mflm.ggru(f), ps, table, &format!("mflm.ggru.{f}")))
-                .collect(),
-            agg: LinW::from_trunk(mflm.agg(), ps, table, "mflm.agg"),
-            head: LinW::from_trunk(mflm.head(), ps, table, "mflm.head"),
-            cohorts,
             quantized: table.is_some(),
         }
     }
@@ -345,7 +174,7 @@ impl Inferencer {
 
     /// Number of medical features the model was trained on.
     pub fn n_features(&self) -> usize {
-        self.nf
+        self.mflm.n_features()
     }
 
     /// Number of time steps per patient grid.
@@ -363,262 +192,117 @@ impl Inferencer {
         self.cohorts.is_some()
     }
 
-    /// Mirrors `Mflm::embed_step` for one time step.
-    fn embed_step(&self, step: &Matrix, mask: &Matrix) -> Vec<Matrix> {
-        let batch = step.rows();
-        (0..self.nf)
-            .map(|f| {
-                let ch = &self.biel[f];
-                let range = (ch.hi - ch.lo).max(1e-4);
-                let mut w_a = Matrix::zeros(batch, 1);
-                let mut w_b = Matrix::zeros(batch, 1);
-                let mut m_on = Matrix::zeros(batch, 1);
-                let mut m_off = Matrix::zeros(batch, 1);
-                for r in 0..batch {
-                    let x = step[(r, f)].clamp(ch.lo, ch.hi);
-                    w_a[(r, 0)] = (x - ch.lo) / range;
-                    w_b[(r, 0)] = (ch.hi - x) / range;
-                    let present = mask[(r, f)] > 0.5;
-                    m_on[(r, 0)] = f32::from(present);
-                    m_off[(r, 0)] = f32::from(!present);
-                }
-                let ea = w_a.matmul(&ch.v_a);
-                let eb = w_b.matmul(&ch.v_b);
-                let e_present = ea.add(&eb);
-                let e_masked = mul_col_broadcast(&e_present, &m_on);
-                let em = m_off.matmul(&ch.v_m);
-                e_masked.add(&em)
-            })
-            .collect()
-    }
-
-    /// Mirrors `Mflm::interact_step` (attention outputs only — the recorded
-    /// attention mass is a training/discovery concern).
-    fn interact_step(&self, es: &[Matrix]) -> Vec<Matrix> {
-        let nf = es.len();
-        let scale = 1.0 / (self.d_embed as f32).sqrt();
-        let qs: Vec<Matrix> = es.iter().map(|e| self.fil_q.forward(e)).collect();
-        let ks: Vec<Matrix> = es.iter().map(|e| self.fil_k.forward(e)).collect();
-        let vs: Vec<Matrix> = es.iter().map(|e| self.fil_v.forward(e)).collect();
-        let mut us = Vec::with_capacity(nf);
-        for i in 0..nf {
-            let scores: Vec<Matrix> = (0..nf)
-                .map(|j| qs[i].mul(&ks[j]).sum_cols().scale(scale))
-                .collect();
-            let parts: Vec<&Matrix> = scores.iter().collect();
-            let alpha = Matrix::concat_cols(&parts).softmax_rows();
-            let mut u: Option<Matrix> = None;
-            for (j, v) in vs.iter().enumerate() {
-                let w = mul_col_broadcast(v, &alpha.slice_cols(j, j + 1));
-                u = Some(match u {
-                    Some(acc) => acc.add(&w),
-                    None => w,
-                });
-            }
-            us.push(u.unwrap());
-        }
-        us
-    }
-
     /// Scores one minibatch: `steps` is one `(batch x F)` matrix per time
     /// step, `mask` the `(batch x F)` presence mask.
     ///
     /// Bit-identical to the tape forward over the same rows, regardless of
     /// batch composition or GEMM thread count.
     pub fn score(&self, steps: &[Matrix], mask: &Matrix) -> ScoreOutput {
-        let batch = mask.rows();
-        let t_steps = steps.len();
-        let (gstate, base_logits, state_grid) = self.trunk_forward(steps, mask);
-
-        let Some(c) = &self.cohorts else {
-            return ScoreOutput {
-                logits: base_logits.clone(),
-                probs: sigmoid(&base_logits),
-                base_logits,
-                cem_logits: None,
-            };
-        };
-        let grid = state_grid.expect("state grid recorded when cohorts active");
-        let cem_logits = self.cem_forward(c, &gstate, &grid, batch, t_steps, None);
-        let logits = base_logits.add(&cem_logits);
-        ScoreOutput {
-            probs: sigmoid(&logits),
-            logits,
-            base_logits,
-            cem_logits: Some(cem_logits),
-        }
+        self.run(steps, mask, None).output
     }
 
-    /// The shared MFLM trunk of [`Inferencer::score`]: per-step embedding,
-    /// interaction, fusion and the channel GRUs, down to the individual-path
-    /// logits, plus the feature-state grid when discovery is active.
-    #[allow(clippy::type_complexity)]
-    fn trunk_forward(
+    /// The one scoring body. Eq. 10 bitmaps come from the compiled
+    /// [`CohortIndex`], or — for a single-row batch — from `cache`'s
+    /// incremental probe. Bitmaps are exact `u64`s, so the source changes
+    /// no arithmetic.
+    fn run(
         &self,
         steps: &[Matrix],
         mask: &Matrix,
-    ) -> (Vec<Matrix>, Matrix, Option<Vec<u8>>) {
-        let batch = mask.rows();
-        assert_eq!(mask.cols(), self.nf, "mask width != n_features");
-        let t_steps = steps.len();
-        let mut lstate: Vec<Matrix> = (0..self.nf)
-            .map(|f| Matrix::zeros(batch, self.lgru[f].hidden))
-            .collect();
-        let mut gstate: Vec<Matrix> = (0..self.nf)
-            .map(|f| Matrix::zeros(batch, self.ggru[f].hidden))
-            .collect();
-        // State grid in discover::batch_states layout: `[r*T*F + t*F + f]`.
-        let mut state_grid = self
-            .cohorts
-            .as_ref()
-            .map(|_| vec![0u8; batch * t_steps * self.nf]);
-
-        for (t, step) in steps.iter().enumerate() {
-            assert_eq!(step.cols(), self.nf, "step width != n_features");
-            assert_eq!(step.rows(), batch, "step batch size mismatch");
-            let es = self.embed_step(step, mask);
-            let us = if self.use_interactions {
-                self.interact_step(&es)
-            } else {
-                vec![Matrix::zeros(batch, self.d_embed); self.nf]
-            };
-            let zero_trend = if self.use_trends {
-                None
-            } else {
-                Some(Matrix::zeros(batch, self.d_trend))
-            };
-            for f in 0..self.nf {
-                let trend = match &zero_trend {
-                    Some(z) => z,
-                    None => {
-                        lstate[f] = self.lgru[f].step(&es[f], &lstate[f]);
-                        &lstate[f]
-                    }
-                };
-                let joined = Matrix::concat_cols(&[&es[f], &us[f], trend]);
-                let o = tanh(&self.feafus.forward(&joined));
-                gstate[f] = self.ggru[f].step(&o, &gstate[f]);
-                if let (Some(grid), Some(c)) = (state_grid.as_mut(), self.cohorts.as_ref()) {
-                    for r in 0..batch {
-                        let present = mask[(r, f)] > 0.5;
-                        grid[r * t_steps * self.nf + t * self.nf + f] =
-                            c.states.assign(f, o.row(r), present);
-                    }
-                }
-            }
+        cache: Option<&mut IndexCache>,
+    ) -> DetailedScore {
+        // Chaos injection sites (inert single atomic load unless a plan is
+        // installed): `infer.worker` simulates a worker-thread panic
+        // mid-batch — via `score_requests_parallel` this runs *inside* a
+        // `par_map` worker — and `infer.latency` stalls the forward pass
+        // without touching any computed value. Both entry points (batch
+        // and streaming) reach them.
+        cohortnet_chaos::panic_if_fires("infer.worker");
+        cohortnet_chaos::delay_ms_if_fires("infer.latency");
+        let (batch, nf, t_steps) = (mask.rows(), self.n_features(), steps.len());
+        assert_eq!(mask.cols(), nf, "mask width != n_features");
+        for step in steps {
+            assert_eq!(
+                step.shape(),
+                (batch, nf),
+                "step shape != (batch x n_features)"
+            );
         }
-
-        let compressed: Vec<Matrix> = (0..self.nf)
-            .map(|f| tanh(&self.agg.forward(&gstate[f])))
-            .collect();
-        let parts: Vec<&Matrix> = compressed.iter().collect();
-        let tilde_h = Matrix::concat_cols(&parts);
-        let base_logits = self.head.forward(&tilde_h);
-        (gstate, base_logits, state_grid)
+        let e = &mut Eval;
+        let states = self.cohorts.as_ref().map(|c| &c.states);
+        let trunk = self
+            .mflm
+            .forward(e, &self.weights, steps, mask, states, false);
+        let base_logits = trunk.logits;
+        let Some(c) = &self.cohorts else {
+            return DetailedScore {
+                output: ScoreOutput::new(base_logits, None),
+                state_grid: None,
+                bitmaps: None,
+            };
+        };
+        let grid = trunk.states.expect("state model given");
+        let bitmaps: Vec<Vec<Vec<u64>>> = match cache {
+            Some(cache) => {
+                assert_eq!(batch, 1, "cached bitmaps are per-patient");
+                vec![cache.probe(&c.index, &grid, t_steps, nf).to_vec()]
+            }
+            None => (0..batch)
+                .map(|r| {
+                    let row = &grid[r * t_steps * nf..(r + 1) * t_steps * nf];
+                    (0..nf)
+                        .map(|i| c.index.bitmap_words(i, row, t_steps, nf))
+                        .collect()
+                })
+                .collect(),
+        };
+        let cem = self
+            .cem
+            .forward(e, &self.weights, &c.kv, &trunk.h_final, &bitmaps);
+        DetailedScore {
+            output: ScoreOutput::new(base_logits, Some(cem.logits)),
+            state_grid: Some(grid),
+            bitmaps: bitmaps.into_iter().next(),
+        }
     }
 
-    /// Mirrors [`crate::cem::Cem::forward`] with precomputed keys/values and
-    /// the packed cohort index in place of the hash-map pool lookup.
-    ///
-    /// `pre` optionally supplies already-probed bitmap words (one per anchor
-    /// feature) for a single-row batch — the streaming path's incremental
-    /// probe. Bitmaps are exact `u64`s, so substituting them changes no
-    /// arithmetic: the masked-softmax inputs are identical either way.
-    fn cem_forward(
-        &self,
-        c: &CohortPath,
-        h_final: &[Matrix],
-        grid: &[u8],
-        batch: usize,
-        t_steps: usize,
-        pre: Option<&[Vec<u64>]>,
-    ) -> Matrix {
-        debug_assert!(
-            pre.is_none() || batch == 1,
-            "precomputed bitmaps are per-patient"
-        );
-        let mut contexts = Vec::with_capacity(self.nf);
-        for i in 0..self.nf {
-            let nc = c.n_cohorts[i];
-            if nc == 0 {
-                contexts.push(Matrix::zeros(batch, c.d_value));
-                continue;
-            }
-            let q = c.wq.forward(&h_final[i]);
-            // `matmul_nt(q, keys)` is bit-equal to `q · keysᵀ` (tested in
-            // the tensor crate) — the tape path materialises the transpose.
-            let scores = q.matmul_nt(&c.keys[i]);
-            let mut mask = Matrix::zeros(batch, nc);
-            let mut any = Matrix::zeros(batch, 1);
-            for r in 0..batch {
-                let row_grid = &grid[r * t_steps * self.nf..(r + 1) * t_steps * self.nf];
-                let computed;
-                let bits: &[u64] = match pre {
-                    Some(p) => &p[i],
-                    None => {
-                        computed = c.index.bitmap_words(i, row_grid, t_steps, self.nf);
-                        &computed
-                    }
-                };
-                let mut has = false;
-                for qx in 0..nc {
-                    if bits[qx >> 6] >> (qx & 63) & 1 == 1 {
-                        has = true;
-                    } else {
-                        mask[(r, qx)] = -1e9;
-                    }
-                }
-                any[(r, 0)] = f32::from(has);
-            }
-            let masked = scores.add(&mask);
-            let beta = masked.softmax_rows();
-            let ctx_raw = beta.matmul(&c.values[i]);
-            contexts.push(mul_col_broadcast(&ctx_raw, &any));
+    /// Assembles the minibatch of `reqs`: one `(batch x F)` matrix per time
+    /// step and the presence mask. Request order is row order.
+    fn minibatch(&self, reqs: &[ScoreRequest]) -> (Vec<Matrix>, Matrix) {
+        let (nf, t_steps) = (self.n_features(), self.time_steps);
+        for (r, req) in reqs.iter().enumerate() {
+            assert_eq!(
+                req.x.len(),
+                t_steps * nf,
+                "request {r}: grid must be T*F = {} values",
+                t_steps * nf
+            );
+            assert_eq!(
+                req.mask.len(),
+                nf,
+                "request {r}: mask must have F = {nf} values"
+            );
         }
-        let parts: Vec<&Matrix> = contexts.iter().collect();
-        let h_hat = Matrix::concat_cols(&parts);
-        h_hat.matmul(&c.head_w)
+        let steps = (0..t_steps)
+            .map(|t| {
+                let mut m = Matrix::zeros(reqs.len(), nf);
+                for (r, req) in reqs.iter().enumerate() {
+                    m.row_mut(r).copy_from_slice(&req.x[t * nf..(t + 1) * nf]);
+                }
+                m
+            })
+            .collect();
+        let mut mask = Matrix::zeros(reqs.len(), nf);
+        for (r, req) in reqs.iter().enumerate() {
+            mask.row_mut(r).copy_from_slice(&req.mask);
+        }
+        (steps, mask)
     }
 
     /// Scores a slice of per-patient requests, assembling the minibatch
     /// internally. Request order is preserved: output row `r` is request `r`.
     pub fn score_requests(&self, reqs: &[ScoreRequest]) -> ScoreOutput {
-        // Chaos injection sites (inert single atomic load unless a plan is
-        // installed): `infer.worker` simulates a worker-thread panic
-        // mid-batch — via `score_requests_parallel` this runs *inside* a
-        // `par_map` worker — and `infer.latency` stalls the forward pass
-        // without touching any computed value.
-        cohortnet_chaos::panic_if_fires("infer.worker");
-        cohortnet_chaos::delay_ms_if_fires("infer.latency");
-        let batch = reqs.len();
-        let t_steps = self.time_steps;
-        for (r, req) in reqs.iter().enumerate() {
-            assert_eq!(
-                req.x.len(),
-                t_steps * self.nf,
-                "request {r}: grid must be T*F = {} values",
-                t_steps * self.nf
-            );
-            assert_eq!(
-                req.mask.len(),
-                self.nf,
-                "request {r}: mask must have F = {} values",
-                self.nf
-            );
-        }
-        let mut steps = Vec::with_capacity(t_steps);
-        for t in 0..t_steps {
-            let mut m = Matrix::zeros(batch, self.nf);
-            for (r, req) in reqs.iter().enumerate() {
-                m.row_mut(r)
-                    .copy_from_slice(&req.x[t * self.nf..(t + 1) * self.nf]);
-            }
-            steps.push(m);
-        }
-        let mut mask = Matrix::zeros(batch, self.nf);
-        for (r, req) in reqs.iter().enumerate() {
-            mask.row_mut(r).copy_from_slice(&req.mask);
-        }
+        let (steps, mask) = self.minibatch(reqs);
         self.score(&steps, &mask)
     }
 
@@ -636,61 +320,8 @@ impl Inferencer {
         req: &ScoreRequest,
         cache: &mut IndexCache,
     ) -> DetailedScore {
-        // Same chaos sites as `score_requests`: the streaming session layer
-        // scores directly on its worker thread, and fault plans targeting
-        // the forward pass should reach both entry points.
-        cohortnet_chaos::panic_if_fires("infer.worker");
-        cohortnet_chaos::delay_ms_if_fires("infer.latency");
-        let t_steps = self.time_steps;
-        assert_eq!(
-            req.x.len(),
-            t_steps * self.nf,
-            "grid must be T*F = {} values",
-            t_steps * self.nf
-        );
-        assert_eq!(
-            req.mask.len(),
-            self.nf,
-            "mask must have F = {} values",
-            self.nf
-        );
-        let mut steps = Vec::with_capacity(t_steps);
-        for t in 0..t_steps {
-            let mut m = Matrix::zeros(1, self.nf);
-            m.row_mut(0)
-                .copy_from_slice(&req.x[t * self.nf..(t + 1) * self.nf]);
-            steps.push(m);
-        }
-        let mut mask = Matrix::zeros(1, self.nf);
-        mask.row_mut(0).copy_from_slice(&req.mask);
-
-        let (gstate, base_logits, state_grid) = self.trunk_forward(&steps, &mask);
-        let Some(c) = &self.cohorts else {
-            return DetailedScore {
-                output: ScoreOutput {
-                    logits: base_logits.clone(),
-                    probs: sigmoid(&base_logits),
-                    base_logits,
-                    cem_logits: None,
-                },
-                state_grid: None,
-                bitmaps: None,
-            };
-        };
-        let grid = state_grid.expect("state grid recorded when cohorts active");
-        let bitmaps = cache.probe(&c.index, &grid, t_steps, self.nf).to_vec();
-        let cem_logits = self.cem_forward(c, &gstate, &grid, 1, t_steps, Some(&bitmaps));
-        let logits = base_logits.add(&cem_logits);
-        DetailedScore {
-            output: ScoreOutput {
-                probs: sigmoid(&logits),
-                logits,
-                base_logits,
-                cem_logits: Some(cem_logits),
-            },
-            state_grid: Some(grid),
-            bitmaps: Some(bitmaps),
-        }
+        let (steps, mask) = self.minibatch(std::slice::from_ref(req));
+        self.run(&steps, &mask, Some(cache))
     }
 
     /// [`Inferencer::score_requests`] sharded over `n_threads` workers via
@@ -703,23 +334,18 @@ impl Inferencer {
         let shard = reqs.len().div_ceil(n_threads.max(1));
         let chunks: Vec<&[ScoreRequest]> = reqs.chunks(shard).collect();
         let outs = par_map(n_threads, &chunks, |_, chunk| self.score_requests(chunk));
-        let logits: Vec<&Matrix> = outs.iter().map(|o| &o.logits).collect();
-        let base: Vec<&Matrix> = outs.iter().map(|o| &o.base_logits).collect();
-        let probs: Vec<&Matrix> = outs.iter().map(|o| &o.probs).collect();
-        let cem = if outs.iter().all(|o| o.cem_logits.is_some()) {
-            let parts: Vec<&Matrix> = outs
-                .iter()
-                .map(|o| o.cem_logits.as_ref().expect("checked above"))
-                .collect();
-            Some(Matrix::concat_rows(&parts))
-        } else {
-            None
+        let cat = |part: fn(&ScoreOutput) -> &Matrix| {
+            Matrix::concat_rows(&outs.iter().map(part).collect::<Vec<_>>())
         };
         ScoreOutput {
-            logits: Matrix::concat_rows(&logits),
-            base_logits: Matrix::concat_rows(&base),
-            cem_logits: cem,
-            probs: Matrix::concat_rows(&probs),
+            logits: cat(|o| &o.logits),
+            base_logits: cat(|o| &o.base_logits),
+            probs: cat(|o| &o.probs),
+            cem_logits: outs
+                .iter()
+                .map(|o| o.cem_logits.as_ref())
+                .collect::<Option<Vec<_>>>()
+                .map(|parts| Matrix::concat_rows(&parts)),
         }
     }
 }

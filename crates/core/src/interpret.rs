@@ -117,8 +117,15 @@ pub fn compute_states(model: &CohortNetModel, ps: &ParamStore, prep: &Prepared) 
     for chunk in indices.chunks(64) {
         let batch = make_batch(prep, chunk);
         let mut tape = Tape::new();
-        let trace = model.mflm.forward(&mut tape, ps, &batch, false);
-        let bs = crate::discover::batch_states(&tape, &trace, &batch, &d.states);
+        let trace = model.mflm.forward(
+            &mut tape,
+            ps,
+            &batch.steps,
+            &batch.mask,
+            Some(&d.states),
+            false,
+        );
+        let bs = trace.states.expect("state model given");
         for (r, &p) in chunk.iter().enumerate() {
             data[p * t_steps * nf..(p + 1) * t_steps * nf]
                 .copy_from_slice(&bs[r * t_steps * nf..(r + 1) * t_steps * nf]);

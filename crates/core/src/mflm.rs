@@ -13,10 +13,10 @@
 //! `α_ij = softmax_j((W_q e_i)·(W_k e_j))`, `u_i = Σ_j α_ij (W_v e_j)` —
 //! see DESIGN.md §1.
 
+use crate::cdm::FeatureStates;
 use crate::config::CohortNetConfig;
-use cohortnet_models::data::Batch;
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{Matrix, ParamId, ParamStore, Tape, Var};
+use cohortnet_tensor::{Exec, Matrix, ParamId, ParamStore, Var};
 use rand::rngs::StdRng;
 
 /// Per-feature BiEL embedding parameters.
@@ -27,22 +27,6 @@ struct BielChannel {
     v_m: ParamId,
     bound_lo: f32,
     bound_hi: f32,
-}
-
-/// Parameter handles and bounds of one BiEL channel, exposed for the
-/// gradient-free inference mirror (see [`Mflm::biel_params`]).
-#[derive(Debug, Clone, Copy)]
-pub struct BielParams {
-    /// Lower-anchor embedding `v_a` (`1 x d_embed`).
-    pub v_a: ParamId,
-    /// Upper-anchor embedding `v_b` (`1 x d_embed`).
-    pub v_b: ParamId,
-    /// Missing-value embedding `v_m` (`1 x d_embed`).
-    pub v_m: ParamId,
-    /// Feature lower bound used by the interpolation weights.
-    pub bound_lo: f32,
-    /// Feature upper bound used by the interpolation weights.
-    pub bound_hi: f32,
 }
 
 /// The Multi-channel Feature Learning Module.
@@ -71,18 +55,25 @@ pub struct Mflm {
     use_trends: bool,
 }
 
-/// Everything a forward pass exposes to the rest of the pipeline.
-pub struct MflmTrace {
+/// Everything a forward pass exposes to the rest of the pipeline. `V` is the
+/// executor's value handle: [`Var`] on the tape.
+pub struct MflmTrace<V = Var> {
     /// Prediction logits from `h̃` alone (`w^p · h̃ + b^p` of Eq. 14).
-    pub logits: Var,
+    pub logits: V,
     /// Patient-level representation `h̃` (`batch x F*d_agg`).
-    pub tilde_h: Var,
+    pub tilde_h: V,
     /// Fused feature representations `o[t][f]` (`batch x d_o` each) — the
-    /// vectors the Cohort Discovery Module clusters into states.
-    pub o: Vec<Vec<Var>>,
+    /// vectors the Cohort Discovery Module clusters into states. Recorded
+    /// only when the forward is given no state model: discovery fits the
+    /// model on them, and once one exists the forward assigns states inline
+    /// instead of keeping `T x F` values alive.
+    pub o: Vec<Vec<V>>,
+    /// Feature-state grid, row-major `(batch x (T x F))` — per patient,
+    /// `T*F` states — when the forward is given a state model.
+    pub states: Option<Vec<u8>>,
     /// Final channel representations `h_i^T` (`batch x d_h` each) — used by
     /// cohort representation learning (Eq. 9) and CEM queries (Eq. 11).
-    pub h_final: Vec<Var>,
+    pub h_final: Vec<V>,
     /// Attention mass `Σ α_i[j]` accumulated over the batch and all time
     /// steps (`F x F`, row = query feature). Divide by `attn_count` for the
     /// mean — CDM's pattern mask (Eq. 8) ranks features by this.
@@ -160,61 +151,37 @@ impl Mflm {
         self.biel.len()
     }
 
-    /// The prediction-head weight (`w^p`) — used by Eq. 14's combination.
-    pub fn head(&self) -> &Linear {
-        &self.head
-    }
-
-    /// Parameter handles and bounds of feature `f`'s BiEL channel (Eq. 1) —
-    /// consumed by the gradient-free inference mirror in [`crate::infer`].
-    pub fn biel_params(&self, f: usize) -> BielParams {
-        let ch = &self.biel[f];
-        BielParams {
-            v_a: ch.v_a,
-            v_b: ch.v_b,
-            v_m: ch.v_m,
-            bound_lo: ch.bound_lo,
-            bound_hi: ch.bound_hi,
+    /// The trunk weights the int8 serving path quantizes (every hot `x · W`
+    /// of the forward: FIL projections, FeaFus, FeaAgg, head, and the six
+    /// weight matrices of each trend and channel GRU), under the stable
+    /// names the snapshot `quant` section stores them by.
+    pub(crate) fn quant_trunk(&self) -> Vec<(String, ParamId)> {
+        let mut out: Vec<(String, ParamId)> = vec![
+            ("mflm.fil.q".into(), self.wq.weight()),
+            ("mflm.fil.k".into(), self.wk.weight()),
+            ("mflm.fil.v".into(), self.wv.weight()),
+            ("mflm.feafus".into(), self.feafus.weight()),
+            ("mflm.agg".into(), self.agg.weight()),
+            ("mflm.head".into(), self.head.weight()),
+        ];
+        for f in 0..self.n_features() {
+            for (cell, kind) in [(&self.lgru[f], "lgru"), (&self.ggru[f], "ggru")] {
+                for (suffix, id) in cell.weights() {
+                    out.push((format!("mflm.{kind}.{f}.{suffix}"), id));
+                }
+            }
         }
-    }
-
-    /// The FIL `(W_Q, W_K, W_V)` projections of Eq. 2.
-    pub fn fil_projections(&self) -> (&Linear, &Linear, &Linear) {
-        (&self.wq, &self.wk, &self.wv)
-    }
-
-    /// Feature `f`'s trend GRU (Eq. 3).
-    pub fn lgru(&self, f: usize) -> &GruCell {
-        &self.lgru[f]
-    }
-
-    /// Feature `f`'s global channel GRU (Eq. 5).
-    pub fn ggru(&self, f: usize) -> &GruCell {
-        &self.ggru[f]
-    }
-
-    /// The FeaFus fusion layer (Eq. 4).
-    pub fn feafus(&self) -> &Linear {
-        &self.feafus
-    }
-
-    /// The FeaAgg compression layer (Eq. 6).
-    pub fn agg(&self) -> &Linear {
-        &self.agg
-    }
-
-    /// Whether FIL feature interactions are enabled (ablation flag).
-    pub fn interactions_enabled(&self) -> bool {
-        self.use_interactions
-    }
-
-    /// Whether trend GRUs are enabled (ablation flag).
-    pub fn trends_enabled(&self) -> bool {
-        self.use_trends
+        out
     }
 
     /// BiEL embeddings for all features at one time step.
-    fn embed_step(&self, t: &mut Tape, ps: &ParamStore, step: &Matrix, mask: &Matrix) -> Vec<Var> {
+    fn embed_step<E: Exec>(
+        &self,
+        e: &mut E,
+        ps: &E::Params,
+        step: &Matrix,
+        mask: &Matrix,
+    ) -> Vec<E::V> {
         let batch = step.rows();
         (0..self.biel.len())
             .map(|f| {
@@ -234,48 +201,52 @@ impl Mflm {
                     m_on[(r, 0)] = f32::from(present);
                     m_off[(r, 0)] = f32::from(!present);
                 }
-                let wa = t.constant(w_a);
-                let wb = t.constant(w_b);
-                let mon = t.constant(m_on);
-                let moff = t.constant(m_off);
-                let va = t.param(ps, ch.v_a);
-                let vb = t.param(ps, ch.v_b);
-                let vm = t.param(ps, ch.v_m);
-                let ea = t.matmul(wa, va);
-                let eb = t.matmul(wb, vb);
-                let e_present = t.add(ea, eb);
-                let e_masked = t.mul_col_broadcast(e_present, mon);
-                let em = t.matmul(moff, vm);
-                t.add(e_masked, em)
+                let wa = e.constant(w_a);
+                let wb = e.constant(w_b);
+                let mon = e.constant(m_on);
+                let moff = e.constant(m_off);
+                let ea = e.matmul_w(ps, &wa, ch.v_a);
+                let eb = e.matmul_w(ps, &wb, ch.v_b);
+                let e_present = e.add(&ea, &eb);
+                let e_masked = e.mul_col_broadcast(&e_present, &mon);
+                let em = e.matmul_w(ps, &moff, ch.v_m);
+                e.add(&e_masked, &em)
             })
             .collect()
     }
 
     /// FIL at one time step: returns `(u_i, α_i)` per feature, where `α_i`
     /// is the `(batch x F)` attention row of feature `i`.
-    fn interact_step(&self, t: &mut Tape, ps: &ParamStore, es: &[Var]) -> (Vec<Var>, Vec<Var>) {
+    fn interact_step<E: Exec>(
+        &self,
+        e: &mut E,
+        ps: &E::Params,
+        es: &[E::V],
+    ) -> (Vec<E::V>, Vec<E::V>) {
         let nf = es.len();
         let scale = 1.0 / (self.d_embed as f32).sqrt();
-        let qs: Vec<Var> = es.iter().map(|&e| self.wq.forward(t, ps, e)).collect();
-        let ks: Vec<Var> = es.iter().map(|&e| self.wk.forward(t, ps, e)).collect();
-        let vs: Vec<Var> = es.iter().map(|&e| self.wv.forward(t, ps, e)).collect();
+        let qs: Vec<E::V> = es.iter().map(|x| self.wq.forward(e, ps, x)).collect();
+        let ks: Vec<E::V> = es.iter().map(|x| self.wk.forward(e, ps, x)).collect();
+        let vs: Vec<E::V> = es.iter().map(|x| self.wv.forward(e, ps, x)).collect();
         let mut us = Vec::with_capacity(nf);
         let mut alphas = Vec::with_capacity(nf);
-        for i in 0..nf {
-            let mut scores = Vec::with_capacity(nf);
-            for j in 0..nf {
-                let qk = t.mul(qs[i], ks[j]);
-                let s = t.sum_cols(qk);
-                scores.push(t.scale(s, scale));
-            }
-            let mat = t.concat_cols(&scores);
-            let alpha = t.softmax_rows(mat);
-            let mut u: Option<Var> = None;
-            for (j, &v) in vs.iter().enumerate() {
-                let a_j = t.slice_cols(alpha, j, j + 1);
-                let w = t.mul_col_broadcast(v, a_j);
+        for q in &qs {
+            let scores: Vec<E::V> = ks
+                .iter()
+                .map(|k| {
+                    let qk = e.mul(q, k);
+                    let s = e.sum_cols(&qk);
+                    e.scale(&s, scale)
+                })
+                .collect();
+            let mat = e.concat_cols(&scores.iter().collect::<Vec<_>>());
+            let alpha = e.softmax_rows(&mat);
+            let mut u: Option<E::V> = None;
+            for (j, v) in vs.iter().enumerate() {
+                let a_j = e.slice_cols(&alpha, j, j + 1);
+                let w = e.mul_col_broadcast(v, &a_j);
                 u = Some(match u {
-                    Some(acc) => t.add(acc, w),
+                    Some(acc) => e.add(&acc, &w),
                     None => w,
                 });
             }
@@ -285,102 +256,115 @@ impl Mflm {
         (us, alphas)
     }
 
-    /// Full forward pass over a batch.
+    /// Full forward pass over a batch: `steps` holds one `(batch x F)`
+    /// matrix per time step, `mask` the `(batch x F)` presence mask. With
+    /// a state model, each fused representation is assigned its feature
+    /// state (Eq. 7) as soon as it is computed (see [`MflmTrace::states`]).
     ///
     /// `record_attention_steps` additionally stores each step's full
     /// attention matrix (use for single-patient interpretation only — it is
     /// `T` matrices of `F x F`).
-    pub fn forward(
+    pub fn forward<E: Exec>(
         &self,
-        t: &mut Tape,
-        ps: &ParamStore,
-        batch: &Batch,
+        e: &mut E,
+        ps: &E::Params,
+        steps: &[Matrix],
+        mask: &Matrix,
+        states: Option<&FeatureStates>,
         record_attention_steps: bool,
-    ) -> MflmTrace {
+    ) -> MflmTrace<E::V> {
         let nf = self.n_features();
-        let steps = batch.steps.len();
-        let mut lstate: Vec<Var> = self
-            .lgru
-            .iter()
-            .map(|c| c.init_state(t, batch.size))
-            .collect();
-        let mut gstate: Vec<Var> = self
-            .ggru
-            .iter()
-            .map(|c| c.init_state(t, batch.size))
-            .collect();
-        let mut o_all: Vec<Vec<Var>> = Vec::with_capacity(steps);
+        let (size, t_steps) = (mask.rows(), steps.len());
+        let mut grid = states.map(|_| vec![0u8; size * t_steps * nf]);
+        let mut lstate: Vec<E::V> = self.lgru.iter().map(|c| c.init_state(e, size)).collect();
+        let mut gstate: Vec<E::V> = self.ggru.iter().map(|c| c.init_state(e, size)).collect();
+        let mut o_all: Vec<Vec<E::V>> = Vec::with_capacity(steps.len());
         let mut attn_sum = Matrix::zeros(nf, nf);
         let mut attn_count = 0usize;
         let mut attn_per_step = if record_attention_steps {
-            Some(Vec::with_capacity(steps))
+            Some(Vec::with_capacity(steps.len()))
         } else {
             None
         };
 
-        for step_idx in 0..steps {
-            let es = self.embed_step(t, ps, &batch.steps[step_idx], &batch.mask);
+        for (t, step) in steps.iter().enumerate() {
+            let es = self.embed_step(e, ps, step, mask);
             let (us, alphas) = if self.use_interactions {
-                self.interact_step(t, ps, &es)
+                self.interact_step(e, ps, &es)
             } else {
                 // Ablation: zero interaction vectors, uniform attention.
-                let zero = t.constant(Matrix::zeros(batch.size, self.d_embed));
-                let uniform = t.constant(Matrix::full(batch.size, nf, 1.0 / nf as f32));
+                let zero = e.constant(Matrix::zeros(size, self.d_embed));
+                let uniform = e.constant(Matrix::full(size, nf, 1.0 / nf as f32));
                 (vec![zero; nf], vec![uniform; nf])
             };
             // Accumulate attention mass for CDM's pattern mask.
             let mut step_attn = Matrix::zeros(nf, nf);
-            for (i, &a) in alphas.iter().enumerate() {
-                let av = t.value(a);
+            for (i, a) in alphas.iter().enumerate() {
+                let av = e.value(a);
+                let acc = step_attn.row_mut(i);
                 for r in 0..av.rows() {
-                    for j in 0..nf {
-                        step_attn[(i, j)] += av[(r, j)];
+                    for (s, &x) in acc.iter_mut().zip(av.row(r)) {
+                        *s += x;
                     }
                 }
             }
-            attn_count += batch.size;
+            attn_count += size;
             attn_sum.add_assign(&step_attn);
             if let Some(rec) = attn_per_step.as_mut() {
-                rec.push(step_attn.scale(1.0 / batch.size as f32));
+                rec.push(step_attn.scale(1.0 / size as f32));
             }
             // Trend, fusion, global channel update.
             let mut o_step = Vec::with_capacity(nf);
             let zero_trend = if self.use_trends {
                 None
             } else {
-                Some(t.constant(Matrix::zeros(batch.size, self.d_trend)))
+                Some(e.constant(Matrix::zeros(size, self.d_trend)))
             };
             for f in 0..nf {
-                let trend = match zero_trend {
+                let trend = match &zero_trend {
                     Some(z) => z,
                     None => {
-                        lstate[f] = self.lgru[f].step(t, ps, es[f], lstate[f]);
-                        lstate[f]
+                        lstate[f] = self.lgru[f].step(e, ps, &es[f], &lstate[f]);
+                        &lstate[f]
                     }
                 };
-                let joined = t.concat_cols(&[es[f], us[f], trend]);
-                let fused_pre = self.feafus.forward(t, ps, joined);
-                let o = t.tanh(fused_pre);
-                gstate[f] = self.ggru[f].step(t, ps, o, gstate[f]);
-                o_step.push(o);
+                let joined = e.concat_cols(&[&es[f], &us[f], trend]);
+                let fused_pre = self.feafus.forward(e, ps, &joined);
+                let o = e.tanh(&fused_pre);
+                gstate[f] = self.ggru[f].step(e, ps, &o, &gstate[f]);
+                match (states, grid.as_mut()) {
+                    (Some(fs), Some(grid)) => {
+                        let values = e.value(&o);
+                        for r in 0..size {
+                            let present = mask[(r, f)] > 0.5;
+                            grid[r * t_steps * nf + t * nf + f] =
+                                fs.assign(f, values.row(r), present);
+                        }
+                    }
+                    _ => o_step.push(o),
+                }
             }
-            o_all.push(o_step);
+            if states.is_none() {
+                o_all.push(o_step);
+            }
         }
 
         // FeaAgg: compress each final channel state and concatenate.
-        let compressed: Vec<Var> = (0..nf)
-            .map(|f| {
-                let c_pre = self.agg.forward(t, ps, gstate[f]);
-                t.tanh(c_pre)
+        let compressed: Vec<E::V> = gstate
+            .iter()
+            .map(|h| {
+                let c_pre = self.agg.forward(e, ps, h);
+                e.tanh(&c_pre)
             })
             .collect();
-        let tilde_h = t.concat_cols(&compressed);
-        let logits = self.head.forward(t, ps, tilde_h);
+        let tilde_h = e.concat_cols(&compressed.iter().collect::<Vec<_>>());
+        let logits = self.head.forward(e, ps, &tilde_h);
 
         MflmTrace {
             logits,
             tilde_h,
             o: o_all,
+            states: grid,
             h_final: gstate,
             attn_sum,
             attn_count,
@@ -394,6 +378,7 @@ mod tests {
     use super::*;
     use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
     use cohortnet_models::data::{make_batch, prepare};
+    use cohortnet_tensor::Tape;
     use rand::SeedableRng;
 
     fn setup() -> (CohortNetConfig, cohortnet_models::data::Prepared) {
@@ -415,7 +400,7 @@ mod tests {
         let mflm = Mflm::new(&mut ps, &mut rng, &cfg);
         let batch = make_batch(&prep, &[0, 1, 2]);
         let mut tape = Tape::new();
-        let trace = mflm.forward(&mut tape, &ps, &batch, false);
+        let trace = mflm.forward(&mut tape, &ps, &batch.steps, &batch.mask, None, false);
         assert_eq!(tape.value(trace.logits).shape(), (3, 1));
         assert_eq!(tape.value(trace.tilde_h).shape(), (3, 20 * cfg.d_agg));
         assert_eq!(trace.o.len(), 4);
@@ -436,7 +421,7 @@ mod tests {
         let mflm = Mflm::new(&mut ps, &mut rng, &cfg);
         let batch = make_batch(&prep, &[0, 1]);
         let mut tape = Tape::new();
-        let trace = mflm.forward(&mut tape, &ps, &batch, true);
+        let trace = mflm.forward(&mut tape, &ps, &batch.steps, &batch.mask, None, true);
         // Each row of attn_sum accumulated batch*T softmax rows (each sums 1).
         for i in 0..20 {
             let row_sum: f32 = trace.attn_sum.row(i).iter().sum();
@@ -456,7 +441,7 @@ mod tests {
         let mflm = Mflm::new(&mut ps, &mut rng, &cfg);
         let batch = make_batch(&prep, &[0, 1, 2, 3]);
         let mut tape = Tape::new();
-        let trace = mflm.forward(&mut tape, &ps, &batch, false);
+        let trace = mflm.forward(&mut tape, &ps, &batch.steps, &batch.mask, None, false);
         for o_step in &trace.o {
             for &o in o_step {
                 assert!(tape.value(o).as_slice().iter().all(|&v| v.abs() <= 1.0));
@@ -474,7 +459,7 @@ mod tests {
         let mflm = Mflm::new(&mut ps, &mut rng, &cfg);
         let batch = make_batch(&prep, &[0, 1]);
         let mut tape = Tape::new();
-        let trace = mflm.forward(&mut tape, &ps, &batch, false);
+        let trace = mflm.forward(&mut tape, &ps, &batch.steps, &batch.mask, None, false);
         // Attention is uniform when FIL is off.
         let nf = 20.0f32;
         for i in 0..20 {
@@ -505,7 +490,7 @@ mod tests {
         let mflm = Mflm::new(&mut ps, &mut rng, &cfg);
         let batch = make_batch(&prep, &[0, 1]);
         let mut tape = Tape::new();
-        let trace = mflm.forward(&mut tape, &ps, &batch, false);
+        let trace = mflm.forward(&mut tape, &ps, &batch.steps, &batch.mask, None, false);
         let loss = tape.bce_with_logits(trace.logits, batch.labels.clone());
         tape.backward(loss);
         tape.flush_grads(&mut ps);

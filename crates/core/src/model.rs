@@ -3,7 +3,8 @@
 
 use crate::cem::{Cem, CemTrace};
 use crate::config::CohortNetConfig;
-use crate::discover::{batch_states, discover, Discovery};
+use crate::discover::{discover, Discovery};
+use crate::index::pack_bits;
 use crate::mflm::{Mflm, MflmTrace};
 use cohortnet_models::data::{Batch, Prepared};
 use cohortnet_models::traits::SequenceModel;
@@ -107,7 +108,14 @@ impl CohortNetModel {
         batch: &Batch,
         record_attention_steps: bool,
     ) -> FullTrace {
-        let mflm_trace = self.mflm.forward(t, ps, batch, record_attention_steps);
+        let mut mflm_trace = self.mflm.forward(
+            t,
+            ps,
+            &batch.steps,
+            &batch.mask,
+            self.discovery.as_ref().map(|d| &d.states),
+            record_attention_steps,
+        );
         let Some(d) = &self.discovery else {
             return FullTrace {
                 logits: mflm_trace.logits,
@@ -116,26 +124,20 @@ impl CohortNetModel {
                 states: None,
             };
         };
-        // Assign feature states for the batch, then per-feature bitmaps.
-        let states = batch_states(t, &mflm_trace, batch, &d.states);
+        // Per-row Eq. 10 bitmaps from the feature states the forward assigned.
+        let states = mflm_trace.states.take().expect("state model given");
         let nf = self.mflm.n_features();
         let t_steps = batch.steps.len();
-        let mut bitmaps: Vec<Vec<bool>> = Vec::with_capacity(nf);
-        for i in 0..nf {
-            let nc = d.pool.per_feature[i].len();
-            let mut bits = vec![false; batch.size * nc];
-            if nc > 0 {
-                for r in 0..batch.size {
-                    let grid = &states[r * t_steps * nf..(r + 1) * t_steps * nf];
-                    let b = d.pool.bitmap(i, grid, t_steps, nf);
-                    bits[r * nc..(r + 1) * nc].copy_from_slice(&b);
-                }
-            }
-            bitmaps.push(bits);
-        }
-        let cem_trace = self
-            .cem
-            .forward(t, ps, &d.pool, &mflm_trace.h_final, &bitmaps, batch.size);
+        let bitmaps: Vec<Vec<Vec<u64>>> = (0..batch.size)
+            .map(|r| {
+                let grid = &states[r * t_steps * nf..(r + 1) * t_steps * nf];
+                (0..nf)
+                    .map(|i| pack_bits(&d.pool.bitmap(i, grid, t_steps, nf)))
+                    .collect()
+            })
+            .collect();
+        let kv = self.cem.cohort_kv(t, ps, &d.pool);
+        let cem_trace = self.cem.forward(t, ps, &kv, &mflm_trace.h_final, &bitmaps);
         let logits = t.add(mflm_trace.logits, cem_trace.logits);
         FullTrace {
             logits,

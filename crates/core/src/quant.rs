@@ -29,47 +29,16 @@
 use crate::infer::{Inferencer, ScoreOutput, ScoreRequest};
 use crate::model::CohortNetModel;
 use cohortnet_tensor::quant::QuantMatrix;
-use cohortnet_tensor::{Matrix, ParamStore};
+use cohortnet_tensor::ParamStore;
 use std::fmt::Write as _;
 
 /// The quantization scheme this build writes and understands.
 pub const QUANT_SCHEME: &str = "int8-perchan-v1";
 
-/// Stable (name, weight) enumeration of the quantizable MFLM trunk. Both
-/// snapshot save and [`Inferencer`] compilation use this one list, so the
-/// names in a stored table always line up with the weights the forward pass
-/// asks for.
-fn trunk_tensors<'a>(model: &'a CohortNetModel, ps: &'a ParamStore) -> Vec<(String, &'a Matrix)> {
-    let mflm = &model.mflm;
-    let (wq, wk, wv) = mflm.fil_projections();
-    let mut out: Vec<(String, &Matrix)> = vec![
-        ("mflm.fil.q".into(), ps.value(wq.weight())),
-        ("mflm.fil.k".into(), ps.value(wk.weight())),
-        ("mflm.fil.v".into(), ps.value(wv.weight())),
-        ("mflm.feafus".into(), ps.value(mflm.feafus().weight())),
-        ("mflm.agg".into(), ps.value(mflm.agg().weight())),
-        ("mflm.head".into(), ps.value(mflm.head().weight())),
-    ];
-    for f in 0..mflm.n_features() {
-        for (cell, kind) in [(mflm.lgru(f), "lgru"), (mflm.ggru(f), "ggru")] {
-            let p = cell.params();
-            for (id, suffix) in [
-                (p.wz, "wz"),
-                (p.uz, "uz"),
-                (p.wr, "wr"),
-                (p.ur, "ur"),
-                (p.wh, "wh"),
-                (p.uh, "uh"),
-            ] {
-                out.push((format!("mflm.{kind}.{f}.{suffix}"), ps.value(id)));
-            }
-        }
-    }
-    out
-}
-
 /// An ordered collection of quantized trunk weights, keyed by the stable
-/// tensor names of the shared enumeration.
+/// tensor names of [`crate::mflm::Mflm::quant_trunk`] — the one enumeration
+/// both snapshot save and [`Inferencer`] compilation use, so the names in a
+/// stored table always line up with the weights the forward pass reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantTable {
     entries: Vec<(String, QuantMatrix)>,
@@ -115,9 +84,11 @@ impl QuantTable {
     /// snapshot predates the quant section.
     pub fn build(model: &CohortNetModel, ps: &ParamStore) -> QuantTable {
         QuantTable {
-            entries: trunk_tensors(model, ps)
+            entries: model
+                .mflm
+                .quant_trunk()
                 .into_iter()
-                .map(|(name, w)| (name, QuantMatrix::quantize(w)))
+                .map(|(name, id)| (name, QuantMatrix::quantize(ps.value(id))))
                 .collect(),
         }
     }

@@ -307,6 +307,24 @@ fn rejects_invalid_config() {
         }
         other => panic!("expected a config error, got {other:?}"),
     }
+    // As must a feature bound that is inverted or not finite: BiEL clamps
+    // every value into it, and `f32::clamp` panics on `lo > hi` or NaN.
+    for bad in ["2:1", "NaN:1", "-1:NaN", "-inf:1", "0:inf"] {
+        let text = tamper(&snapshot_text(), "config", |payload| {
+            let start = payload.find("bounds=").expect("bounds line") + "bounds=".len();
+            let end = start + payload[start..].find([',', '\n']).expect("first pair");
+            format!("{}{bad}{}", &payload[..start], &payload[end..])
+        });
+        match load_snapshot(&text).err() {
+            Some(SnapshotError::Config(why)) => {
+                assert!(
+                    why.contains("bounds"),
+                    "undescriptive error for {bad}: {why}"
+                )
+            }
+            other => panic!("bound {bad}: expected a config error, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -57,7 +57,7 @@ impl ConCareModel {
                 let mut h = self.channels[f].init_state(t, batch.size);
                 for &sv in &step_vars {
                     let x = t.slice_cols(sv, f, f + 1);
-                    h = self.channels[f].step(t, ps, x, h);
+                    h = self.channels[f].step(t, ps, &x, &h);
                 }
                 h
             })
@@ -75,9 +75,9 @@ impl SequenceModel for ConCareModel {
         let nf = hs.len();
         let scale = 1.0 / (self.channel_dim as f32).sqrt();
         // Projections.
-        let qs: Vec<Var> = hs.iter().map(|&h| self.wq.forward(t, ps, h)).collect();
-        let ks: Vec<Var> = hs.iter().map(|&h| self.wk.forward(t, ps, h)).collect();
-        let vs: Vec<Var> = hs.iter().map(|&h| self.wv.forward(t, ps, h)).collect();
+        let qs: Vec<Var> = hs.iter().map(|h| self.wq.forward(t, ps, h)).collect();
+        let ks: Vec<Var> = hs.iter().map(|h| self.wk.forward(t, ps, h)).collect();
+        let vs: Vec<Var> = hs.iter().map(|h| self.wv.forward(t, ps, h)).collect();
         // Scaled-dot attention per query feature.
         let mut contexts = Vec::with_capacity(nf);
         for i in 0..nf {
@@ -101,7 +101,7 @@ impl SequenceModel for ConCareModel {
             contexts.push(ctx.unwrap());
         }
         let joined = t.concat_cols(&contexts);
-        self.head.forward(t, ps, joined)
+        self.head.forward(t, ps, &joined)
     }
 }
 

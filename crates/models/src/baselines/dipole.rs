@@ -50,14 +50,14 @@ impl SequenceModel for DipoleModel {
         let mut hf = self.fwd.init_state(t, batch.size);
         let mut fwd_states = Vec::with_capacity(steps);
         for &x in &xs {
-            hf = self.fwd.step(t, ps, x, hf);
+            hf = self.fwd.step(t, ps, &x, &hf);
             fwd_states.push(hf);
         }
         // Backward pass.
         let mut hb = self.bwd.init_state(t, batch.size);
         let mut bwd_states = vec![None; steps];
         for i in (0..steps).rev() {
-            hb = self.bwd.step(t, ps, xs[i], hb);
+            hb = self.bwd.step(t, ps, &xs[i], &hb);
             bwd_states[i] = Some(hb);
         }
         // Per-step bidirectional states and location-based attention scores.
@@ -65,7 +65,7 @@ impl SequenceModel for DipoleModel {
         let mut scores = Vec::with_capacity(steps);
         for i in 0..steps {
             let h = t.concat_cols(&[fwd_states[i], bwd_states[i].unwrap()]);
-            scores.push(self.attn.forward(t, ps, h));
+            scores.push(self.attn.forward(t, ps, &h));
             h_bi.push(h);
         }
         let score_mat = t.concat_cols(&scores);
@@ -82,7 +82,7 @@ impl SequenceModel for DipoleModel {
         // Combine context with the final bidirectional state.
         let last = h_bi[steps - 1];
         let joined = t.concat_cols(&[ctx.expect("non-empty sequence"), last]);
-        self.head.forward(t, ps, joined)
+        self.head.forward(t, ps, &joined)
     }
 }
 

@@ -51,7 +51,7 @@ impl GraspModel {
         let mut h = self.backbone.init_state(t, batch.size);
         for step in &batch.steps {
             let x = t.constant(step.clone());
-            h = self.backbone.step(t, ps, x, h);
+            h = self.backbone.step(t, ps, &x, &h);
         }
         h
     }
@@ -112,7 +112,7 @@ impl SequenceModel for GraspModel {
         let knowledge = self.cluster_knowledge(t.value(h));
         let kn = t.constant(knowledge);
         let joined = t.concat_cols(&[h, kn]);
-        self.head.forward(t, ps, joined)
+        self.head.forward(t, ps, &joined)
     }
 
     fn refresh(&mut self, ps: &ParamStore, prep: &Prepared, rng: &mut StdRng) {

@@ -40,9 +40,9 @@ impl SequenceModel for GruModel {
         let mut h = self.cell.init_state(t, batch.size);
         for step in &batch.steps {
             let x = t.constant(step.clone());
-            h = self.cell.step(t, ps, x, h);
+            h = self.cell.step(t, ps, &x, &h);
         }
-        self.head.forward(t, ps, h)
+        self.head.forward(t, ps, &h)
     }
 }
 

@@ -41,7 +41,7 @@ impl SequenceModel for LstmModel {
             let x = t.constant(step.clone());
             state = self.cell.step(t, ps, x, state);
         }
-        self.head.forward(t, ps, state.h)
+        self.head.forward(t, ps, &state.h)
     }
 }
 

@@ -56,7 +56,7 @@ impl PpnModel {
         let mut h = self.backbone.init_state(t, batch.size);
         for step in &batch.steps {
             let x = t.constant(step.clone());
-            h = self.backbone.step(t, ps, x, h);
+            h = self.backbone.step(t, ps, &x, &h);
         }
         h
     }
@@ -96,7 +96,7 @@ impl SequenceModel for PpnModel {
             t.matmul(alpha, protos)
         };
         let joined = t.concat_cols(&[h, context]);
-        self.head.forward(t, ps, joined)
+        self.head.forward(t, ps, &joined)
     }
 
     fn refresh(&mut self, ps: &ParamStore, prep: &Prepared, rng: &mut StdRng) {

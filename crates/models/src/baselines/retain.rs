@@ -66,7 +66,7 @@ impl RetainModel {
             .iter()
             .map(|m| {
                 let x = t.constant(m.clone());
-                self.embed.forward(t, ps, x)
+                self.embed.forward(t, ps, &x)
             })
             .collect();
         // Reverse-time GRUs.
@@ -75,10 +75,10 @@ impl RetainModel {
         let mut alpha_scores = vec![None; steps];
         let mut betas = vec![None; steps];
         for i in (0..steps).rev() {
-            ga = self.alpha_rnn.step(t, ps, vs[i], ga);
-            gb = self.beta_rnn.step(t, ps, vs[i], gb);
-            alpha_scores[i] = Some(self.alpha_out.forward(t, ps, ga));
-            let b_pre = self.beta_out.forward(t, ps, gb);
+            ga = self.alpha_rnn.step(t, ps, &vs[i], &ga);
+            gb = self.beta_rnn.step(t, ps, &vs[i], &gb);
+            alpha_scores[i] = Some(self.alpha_out.forward(t, ps, &ga));
+            let b_pre = self.beta_out.forward(t, ps, &gb);
             betas[i] = Some(t.tanh(b_pre));
         }
         let scores: Vec<Var> = alpha_scores.into_iter().map(Option::unwrap).collect();
@@ -108,7 +108,7 @@ impl SequenceModel for RetainModel {
             });
         }
         let _ = self.embed_dim;
-        self.head.forward(t, ps, ctx.expect("at least one step"))
+        self.head.forward(t, ps, &ctx.expect("at least one step"))
     }
 }
 

@@ -56,7 +56,7 @@ impl StageNetModel {
             let x = t.constant(step.clone());
             // Stage gate from current input and hidden state.
             let joined = t.concat_cols(&[x, state.h]);
-            let gate_pre = self.stage_gate.forward(t, ps, joined);
+            let gate_pre = self.stage_gate.forward(t, ps, &joined);
             let gate = t.sigmoid(gate_pre);
             // Re-calibrate cell memory before the step: stale memory is
             // discounted when the stage shifts (gate -> 0).
@@ -84,7 +84,7 @@ impl SequenceModel for StageNetModel {
 
     fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
         let (h, _) = self.run(t, ps, batch);
-        self.head.forward(t, ps, h)
+        self.head.forward(t, ps, &h)
     }
 }
 

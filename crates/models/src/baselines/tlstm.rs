@@ -60,7 +60,7 @@ impl SequenceModel for TLstmModel {
         let mut state = self.cell.init_state(t, batch.size);
         for step in &batch.steps {
             // Memory decomposition and decay.
-            let cs_pre = self.decompose.forward(t, ps, state.c);
+            let cs_pre = self.decompose.forward(t, ps, &state.c);
             let c_short = t.tanh(cs_pre);
             let c_long = t.sub(state.c, c_short);
             let c_short_decayed = t.scale(c_short, g);
@@ -76,7 +76,7 @@ impl SequenceModel for TLstmModel {
                 },
             );
         }
-        self.head.forward(t, ps, state.h)
+        self.head.forward(t, ps, &state.h)
     }
 }
 

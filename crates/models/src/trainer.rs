@@ -312,7 +312,7 @@ mod tests {
         }
         fn forward(&self, t: &mut Tape, ps: &ParamStore, batch: &Batch) -> Var {
             let x = t.constant(batch.steps.last().unwrap().clone());
-            self.head.forward(t, ps, x)
+            self.head.forward(t, ps, &x)
         }
     }
 

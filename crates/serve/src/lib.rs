@@ -1,13 +1,16 @@
 //! # cohortnet-serve
 //!
 //! Online scoring for trained CohortNet snapshots: a micro-batching request
-//! engine over the tape-free [`cohortnet::infer::Inferencer`], fronted by a
-//! dependency-free HTTP/1.1 server built on a readiness event loop.
+//! engine over the tape-free [`cohortnet::infer::Inferencer`] — the model's
+//! one forward pass run by the non-recording executor
+//! ([`cohortnet_tensor::exec::Eval`]) instead of the training tape — fronted
+//! by a dependency-free HTTP/1.1 server built on a readiness event loop.
 //!
 //! * [`engine`] — bounded request queue that coalesces concurrent requests
 //!   into minibatches (`max_batch` / `max_delay_us` knobs). The determinism
-//!   contract is inherited from the inferencer's row independence: a request
-//!   scores bit-identically alone or inside any batch.
+//!   contract is inherited from the executor's row independence: a request
+//!   scores bit-identically alone or inside any batch, and to the bit equal
+//!   to the training tape's forward.
 //! * [`server`] — `POST /score`, `POST /explain`, `GET /cohorts`,
 //!   `GET /healthz`, `GET /metrics`, `GET /debug/{requests,config,trace}`,
 //!   `POST /shutdown`; graceful drain on shutdown. Every request gets

@@ -79,7 +79,7 @@ mod tests {
         let lin = Linear::new(&mut ps, &mut rng, "l", 3, 2);
         let err = max_grad_error(&mut ps, 1e-2, |t, ps| {
             let x = constant(t, 2, 3, &[0.5, -0.2, 0.1, 0.9, 0.3, -0.7]);
-            let y = lin.forward(t, ps, x);
+            let y = lin.forward(t, ps, &x);
             t.bce_with_logits(y, Matrix::from_vec(2, 2, vec![1., 0., 0., 1.]))
         });
         assert!(err < TOL, "max grad err {err}");
@@ -114,8 +114,8 @@ mod tests {
             let h0 = cell.init_state(t, 2);
             let x1 = constant(t, 2, 2, &[0.3, -0.1, 0.6, 0.2]);
             let x2 = constant(t, 2, 2, &[-0.4, 0.5, 0.1, -0.2]);
-            let h1 = cell.step(t, ps, x1, h0);
-            let h2 = cell.step(t, ps, x2, h1);
+            let h1 = cell.step(t, ps, &x1, &h0);
+            let h2 = cell.step(t, ps, &x2, &h1);
             t.mean_all(h2)
         });
         assert!(err < TOL, "max grad err {err}");
@@ -147,8 +147,8 @@ mod tests {
         let err = max_grad_error(&mut ps, 1e-2, |t, ps| {
             let h1 = constant(t, 2, 3, &[0.1, 0.2, 0.3, -0.1, 0.5, 0.0]);
             let h2 = constant(t, 2, 3, &[0.7, -0.2, 0.4, 0.3, 0.1, -0.6]);
-            let s1 = score.forward(t, ps, h1);
-            let s2 = score.forward(t, ps, h2);
+            let s1 = score.forward(t, ps, &h1);
+            let s2 = score.forward(t, ps, &h2);
             let scores = t.concat_cols(&[s1, s2]);
             let attn = t.softmax_rows(scores);
             let a1 = t.slice_cols(attn, 0, 1);
@@ -170,7 +170,7 @@ mod tests {
         let lin = Linear::new(&mut ps, &mut rng, "l", 2, 3);
         let err = max_grad_error(&mut ps, 1e-2, |t, ps| {
             let x = constant(t, 2, 2, &[0.4, -0.3, 0.7, 0.1]);
-            let y = lin.forward(t, ps, x);
+            let y = lin.forward(t, ps, &x);
             let r = t.relu(y);
             let shifted = t.add_scalar(r, -0.2);
             let scaled = t.scale(shifted, 1.7);
@@ -252,7 +252,7 @@ mod tests {
         let err = max_grad_error(&mut ps, 1e-2, |t, ps| {
             let q = constant(t, 2, 3, &[0.2, -0.1, 0.4, 0.6, 0.3, -0.5]);
             let keys = constant(t, 4, 3, &[0.1; 12]);
-            let kproj = lin.forward(t, ps, keys);
+            let kproj = lin.forward(t, ps, &keys);
             let kt = t.transpose(kproj);
             let scores = t.matmul(q, kt);
             let attn = t.softmax_rows(scores);

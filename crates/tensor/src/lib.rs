@@ -10,6 +10,8 @@
 //! * [`matrix::Matrix`] — dense row-major `f32` matrices;
 //! * [`tape::Tape`] — single-pass reverse-mode autodiff with a compact op set;
 //! * [`param::ParamStore`] — shared trainable parameter arena;
+//! * [`exec`] — the [`Exec`] op trait a forward is written against, run by
+//!   the recording [`Tape`] or the non-recording [`exec::Eval`];
 //! * [`nn`] — `Linear`, `Mlp`, `GruCell`, `LstmCell` layers;
 //! * [`optim`] — SGD and Adam;
 //! * [`gradcheck`] — finite-difference validation used throughout the tests.
@@ -42,9 +44,9 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod exec;
 pub mod gemm;
 pub mod gradcheck;
-pub mod infer;
 pub mod init;
 pub mod matrix;
 pub mod nn;
@@ -54,6 +56,7 @@ pub mod quant;
 pub mod simd;
 pub mod tape;
 
+pub use exec::Exec;
 pub use matrix::Matrix;
 pub use param::{GradBuffer, ParamId, ParamStore};
 pub use tape::{Tape, Var};

@@ -3,8 +3,11 @@
 //! Every layer owns [`ParamId`] handles into a shared [`ParamStore`] and
 //! exposes a `forward`/`step` method that records onto a caller-provided
 //! tape. Layers are therefore cheap to clone-free share across time steps —
-//! weight tying across a sequence falls out naturally.
+//! weight tying across a sequence falls out naturally. [`Linear::forward`]
+//! and [`GruCell::step`] are written over [`Exec`], so the same code also
+//! runs on the non-recording [`crate::exec::Eval`].
 
+use crate::exec::Exec;
 use crate::init;
 use crate::param::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
@@ -66,15 +69,11 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to a `(batch x in_dim)` node.
-    pub fn forward(&self, t: &mut Tape, ps: &ParamStore, x: Var) -> Var {
-        let w = t.param(ps, self.w);
-        let xw = t.matmul(x, w);
+    /// Applies the layer to a `(batch x in_dim)` value.
+    pub fn forward<E: Exec>(&self, e: &mut E, ps: &E::Params, x: &E::V) -> E::V {
+        let xw = e.matmul_w(ps, x, self.w);
         match self.b {
-            Some(b) => {
-                let b = t.param(ps, b);
-                t.add_row_broadcast(xw, b)
-            }
+            Some(b) => e.add_bias(ps, &xw, b),
             None => xw,
         }
     }
@@ -155,7 +154,7 @@ impl Mlp {
     pub fn forward(&self, t: &mut Tape, ps: &ParamStore, mut x: Var) -> Var {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.forward(t, ps, x);
+            x = layer.forward(t, ps, &x);
             x = if i == last {
                 self.output_act.apply(t, x)
             } else {
@@ -192,45 +191,18 @@ pub struct GruCell {
     pub hidden_dim: usize,
 }
 
-/// The nine parameter handles of a [`GruCell`], in gate order. Exposed for
-/// gradient-free inference mirrors that read weights straight from the
-/// [`ParamStore`] without recording a tape (see `cohortnet::infer`).
-#[derive(Debug, Clone, Copy)]
-pub struct GruParams {
-    /// Update-gate input weights `Wz`.
-    pub wz: ParamId,
-    /// Update-gate recurrent weights `Uz`.
-    pub uz: ParamId,
-    /// Update-gate bias `bz`.
-    pub bz: ParamId,
-    /// Reset-gate input weights `Wr`.
-    pub wr: ParamId,
-    /// Reset-gate recurrent weights `Ur`.
-    pub ur: ParamId,
-    /// Reset-gate bias `br`.
-    pub br: ParamId,
-    /// Candidate input weights `Wh`.
-    pub wh: ParamId,
-    /// Candidate recurrent weights `Uh`.
-    pub uh: ParamId,
-    /// Candidate bias `bh`.
-    pub bh: ParamId,
-}
-
 impl GruCell {
-    /// The cell's parameter handles (see [`GruParams`]).
-    pub fn params(&self) -> GruParams {
-        GruParams {
-            wz: self.wz,
-            uz: self.uz,
-            bz: self.bz,
-            wr: self.wr,
-            ur: self.ur,
-            br: self.br,
-            wh: self.wh,
-            uh: self.uh,
-            bh: self.bh,
-        }
+    /// The six weight matrices (biases excluded) with their gate names, in
+    /// gate order: `wz, uz, wr, ur, wh, uh`.
+    pub fn weights(&self) -> [(&'static str, ParamId); 6] {
+        [
+            ("wz", self.wz),
+            ("uz", self.uz),
+            ("wr", self.wr),
+            ("ur", self.ur),
+            ("wh", self.wh),
+            ("uh", self.uh),
+        ]
     }
 
     /// Registers a new GRU cell's parameters.
@@ -275,35 +247,28 @@ impl GruCell {
     }
 
     /// Creates the initial zero hidden state for a batch.
-    pub fn init_state(&self, t: &mut Tape, batch: usize) -> Var {
-        t.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim))
+    pub fn init_state<E: Exec>(&self, e: &mut E, batch: usize) -> E::V {
+        e.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim))
     }
 
     /// One recurrent step: `(x: batch x in_dim, h: batch x hidden) -> h'`.
     ///
-    /// Each gate is one fused node (`σ/tanh(xW + hU + b)`) and the state
+    /// Each gate is one fused op (`σ/tanh(xW + hU + b)`) and the state
     /// update is the fused blend `(1-z)⊙h + z⊙h̃`.
-    pub fn step(&self, t: &mut Tape, ps: &ParamStore, x: Var, h: Var) -> Var {
-        let pre = |t: &mut Tape, w: ParamId, u: ParamId, hh: Var| {
-            let wv = t.param(ps, w);
-            let uv = t.param(ps, u);
-            let xw = t.matmul(x, wv);
-            let hu = t.matmul(hh, uv);
-            (xw, hu)
-        };
-        let (zxw, zhu) = pre(t, self.wz, self.uz, h);
-        let bz = t.param(ps, self.bz);
-        let z = t.gate_sigmoid(zxw, zhu, bz);
-        let (rxw, rhu) = pre(t, self.wr, self.ur, h);
-        let br = t.param(ps, self.br);
-        let r = t.gate_sigmoid(rxw, rhu, br);
-        let rh = t.mul(r, h);
+    pub fn step<E: Exec>(&self, e: &mut E, ps: &E::Params, x: &E::V, h: &E::V) -> E::V {
+        let zxw = e.matmul_w(ps, x, self.wz);
+        let zhu = e.matmul_w(ps, h, self.uz);
+        let z = e.gate_sigmoid(ps, &zxw, &zhu, self.bz);
+        let rxw = e.matmul_w(ps, x, self.wr);
+        let rhu = e.matmul_w(ps, h, self.ur);
+        let r = e.gate_sigmoid(ps, &rxw, &rhu, self.br);
+        let rh = e.mul(&r, h);
         // Note: the candidate path must not add `h Uh` twice — the recurrent
         // matmul below already uses `rh` as its input.
-        let (cxw, chu) = pre(t, self.wh, self.uh, rh);
-        let bh = t.param(ps, self.bh);
-        let cand = t.gate_tanh(cxw, chu, bh);
-        t.gru_blend(z, h, cand)
+        let cxw = e.matmul_w(ps, x, self.wh);
+        let chu = e.matmul_w(ps, &rh, self.uh);
+        let cand = e.gate_tanh(ps, &cxw, &chu, self.bh);
+        e.gru_blend(&z, h, &cand)
     }
 
     /// Unrolls the cell over a sequence of inputs, returning all hidden
@@ -312,7 +277,7 @@ impl GruCell {
         let mut h = self.init_state(t, batch);
         let mut out = Vec::with_capacity(xs.len());
         for &x in xs {
-            h = self.step(t, ps, x, h);
+            h = self.step(t, ps, &x, &h);
             out.push(h);
         }
         out
@@ -457,7 +422,7 @@ mod tests {
         let lin = Linear::new(&mut ps, &mut rng, "lin", 3, 5);
         let mut t = Tape::new();
         let x = t.constant(Matrix::zeros(4, 3));
-        let y = lin.forward(&mut t, &ps, x);
+        let y = lin.forward(&mut t, &ps, &x);
         assert_eq!(t.value(y).shape(), (4, 5));
     }
 
@@ -498,7 +463,7 @@ mod tests {
         let mut t = Tape::new();
         let h0 = cell.init_state(&mut t, 3);
         let x = t.constant(Matrix::full(3, 4, 0.5));
-        let h1 = cell.step(&mut t, &ps, x, h0);
+        let h1 = cell.step(&mut t, &ps, &x, &h0);
         assert_eq!(t.value(h1).shape(), (3, 6));
         // GRU hidden state is a convex-combination of h (0) and tanh, so in (-1, 1).
         assert!(t.value(h1).as_slice().iter().all(|&v| v.abs() < 1.0));
@@ -529,7 +494,7 @@ mod tests {
                 })
                 .collect();
             let hs = cell.unroll(&mut t, &ps, &xs, seqs.len());
-            let logits = head.forward(&mut t, &ps, *hs.last().unwrap());
+            let logits = head.forward(&mut t, &ps, hs.last().unwrap());
             let y = Matrix::col_vector(&seqs.iter().map(|(_, l)| *l).collect::<Vec<_>>());
             let loss = t.bce_with_logits(logits, y);
             last = t.value(loss)[(0, 0)];
@@ -572,7 +537,7 @@ mod tests {
                 ));
                 st = cell.step(&mut t, &ps, x, st);
             }
-            let logits = head.forward(&mut t, &ps, st.h);
+            let logits = head.forward(&mut t, &ps, &st.h);
             let loss = t.bce_with_logits(logits, Matrix::from_vec(2, 1, vec![0.0, 1.0]));
             last = t.value(loss)[(0, 0)];
             t.backward(loss);

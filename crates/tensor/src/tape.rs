@@ -19,6 +19,7 @@
 //! traffic from the tape — the dominant cost of the small per-feature models
 //! this workspace trains (thousands of tiny nodes per batch).
 
+use crate::exec::kernels;
 use crate::matrix::Matrix;
 use crate::param::{ParamId, ParamStore};
 
@@ -205,93 +206,56 @@ impl Tape {
 
     /// Element-wise sum of equally shaped nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let mut buf = self.grab();
+        let buf = self.grab();
         let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(am.shape(), bm.shape(), "add shape mismatch");
-        buf.extend(
-            am.as_slice()
-                .iter()
-                .zip(bm.as_slice())
-                .map(|(&x, &y)| x + y),
-        );
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let v = kernels::zip(buf, am, bm, |x, y| x + y);
         self.push(v, Op::Add(a, b))
     }
 
     /// `(r x c) + (1 x c)`: adds a row vector (bias) to every row.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let mut buf = self.grab();
+        let buf = self.grab();
         let (am, bm) = (&self.nodes[a.0].value, &self.nodes[bias.0].value);
-        assert_eq!(bm.rows(), 1, "bias must be a row vector");
-        assert_eq!(am.cols(), bm.cols(), "bias width mismatch");
-        let bias_row = bm.row(0);
-        for r in 0..am.rows() {
-            buf.extend(am.row(r).iter().zip(bias_row).map(|(&x, &b)| x + b));
-        }
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let v = kernels::add_row_broadcast(buf, am, bm);
         self.push(v, Op::AddRowBroadcast(a, bias))
     }
 
     /// Element-wise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let mut buf = self.grab();
+        let buf = self.grab();
         let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(am.shape(), bm.shape(), "sub shape mismatch");
-        buf.extend(
-            am.as_slice()
-                .iter()
-                .zip(bm.as_slice())
-                .map(|(&x, &y)| x - y),
-        );
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let v = kernels::zip(buf, am, bm, |x, y| x - y);
         self.push(v, Op::Sub(a, b))
     }
 
     /// Element-wise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let mut buf = self.grab();
+        let buf = self.grab();
         let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(am.shape(), bm.shape(), "mul shape mismatch");
-        buf.extend(
-            am.as_slice()
-                .iter()
-                .zip(bm.as_slice())
-                .map(|(&x, &y)| x * y),
-        );
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let v = kernels::zip(buf, am, bm, |x, y| x * y);
         self.push(v, Op::Mul(a, b))
     }
 
     /// `(r x c) * (r x 1)`: scales each row of `a` by the matching entry of
     /// the column vector `w` (e.g. per-sample attention weights).
     pub fn mul_col_broadcast(&mut self, a: Var, w: Var) -> Var {
-        let mut buf = self.grab();
+        let buf = self.grab();
         let (am, wm) = (&self.nodes[a.0].value, &self.nodes[w.0].value);
-        assert_eq!(wm.cols(), 1, "weight must be a column vector");
-        assert_eq!(am.rows(), wm.rows(), "weight height mismatch");
-        for r in 0..am.rows() {
-            let s = wm[(r, 0)];
-            buf.extend(am.row(r).iter().map(|&x| x * s));
-        }
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let v = kernels::mul_col_broadcast(buf, am, wm);
         self.push(v, Op::MulColBroadcast(a, w))
     }
 
     /// Multiplication by a compile-time scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let mut buf = self.grab();
-        let am = &self.nodes[a.0].value;
-        buf.extend(am.as_slice().iter().map(|&x| x * s));
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernels::map(buf, &self.nodes[a.0].value, |x| x * s);
         self.push(v, Op::Scale(a, s))
     }
 
     /// Addition of a compile-time scalar.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let mut buf = self.grab();
-        let am = &self.nodes[a.0].value;
-        buf.extend(am.as_slice().iter().map(|&x| x + s));
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernels::map(buf, &self.nodes[a.0].value, |x| x + s);
         self.push(v, Op::AddScalar(a))
     }
 
@@ -309,28 +273,22 @@ impl Tape {
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let mut buf = self.grab();
-        let am = &self.nodes[a.0].value;
-        buf.extend(am.as_slice().iter().map(|&x| 1.0 / (1.0 + (-x).exp())));
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernels::map(buf, &self.nodes[a.0].value, kernels::sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
     /// Element-wise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let mut buf = self.grab();
-        let am = &self.nodes[a.0].value;
-        buf.extend(am.as_slice().iter().map(|&x| x.tanh()));
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernels::map(buf, &self.nodes[a.0].value, f32::tanh);
         self.push(v, Op::Tanh(a))
     }
 
     /// Element-wise rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let mut buf = self.grab();
-        let am = &self.nodes[a.0].value;
-        buf.extend(am.as_slice().iter().map(|&x| x.max(0.0)));
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let buf = self.grab();
+        let v = kernels::map(buf, &self.nodes[a.0].value, |x| x.max(0.0));
         self.push(v, Op::Relu(a))
     }
 
@@ -350,28 +308,16 @@ impl Tape {
     }
 
     fn gate_act(&mut self, a: Var, b: Var, bias: Var, kind: GateKind) -> Var {
-        let mut buf = self.grab();
+        let buf = self.grab();
         let (am, bm, biasm) = (
             &self.nodes[a.0].value,
             &self.nodes[b.0].value,
             &self.nodes[bias.0].value,
         );
-        assert_eq!(am.shape(), bm.shape(), "gate operand shape mismatch");
-        assert_eq!(biasm.rows(), 1, "gate bias must be a row vector");
-        assert_eq!(biasm.cols(), am.cols(), "gate bias width mismatch");
-        let bias_row = biasm.row(0);
-        for r in 0..am.rows() {
-            let pre = am.row(r).iter().zip(bm.row(r)).zip(bias_row);
-            match kind {
-                GateKind::Sigmoid => {
-                    buf.extend(pre.map(|((&x, &y), &c)| 1.0 / (1.0 + (-(x + y + c)).exp())));
-                }
-                GateKind::Tanh => {
-                    buf.extend(pre.map(|((&x, &y), &c)| (x + y + c).tanh()));
-                }
-            }
-        }
-        let v = Matrix::from_vec(am.rows(), am.cols(), buf);
+        let v = match kind {
+            GateKind::Sigmoid => kernels::gate(buf, am, bm, biasm, kernels::sigmoid),
+            GateKind::Tanh => kernels::gate(buf, am, bm, biasm, f32::tanh),
+        };
         self.push(v, Op::GateAct(a, b, bias, kind))
     }
 
@@ -380,22 +326,13 @@ impl Tape {
     /// Replaces the `one_minus` / `mul` / `mul` / `add` five-node chain at
     /// the end of every GRU step.
     pub fn gru_blend(&mut self, z: Var, h: Var, cand: Var) -> Var {
-        let mut buf = self.grab();
+        let buf = self.grab();
         let (zm, hm, cm) = (
             &self.nodes[z.0].value,
             &self.nodes[h.0].value,
             &self.nodes[cand.0].value,
         );
-        assert_eq!(zm.shape(), hm.shape(), "blend shape mismatch");
-        assert_eq!(zm.shape(), cm.shape(), "blend shape mismatch");
-        buf.extend(
-            zm.as_slice()
-                .iter()
-                .zip(hm.as_slice())
-                .zip(cm.as_slice())
-                .map(|((&zi, &hi), &ci)| (1.0 - zi) * hi + zi * ci),
-        );
-        let v = Matrix::from_vec(zm.rows(), zm.cols(), buf);
+        let v = kernels::gru_blend(buf, zm, hm, cm);
         self.push(v, Op::GruBlend(z, h, cand))
     }
 

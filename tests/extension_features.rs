@@ -4,7 +4,6 @@
 
 use cohortnet::cdm::mine_patterns;
 use cohortnet::config::CohortNetConfig;
-use cohortnet::discover::batch_states;
 use cohortnet::train::{train_cohortnet, train_without_cohorts};
 use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
 use cohortnet_models::data::{make_batch, prepare, Prepared};
@@ -108,11 +107,15 @@ fn incremental_update_approximates_full_rebuild() {
         for chunk in (0..n).collect::<Vec<_>>().chunks(32) {
             let batch = make_batch(pp, chunk);
             let mut tape = Tape::new();
-            let trace = trained
-                .model
-                .mflm
-                .forward(&mut tape, &trained.params, &batch, false);
-            let bs = batch_states(&tape, &trace, &batch, &d_half.states);
+            let trace = trained.model.mflm.forward(
+                &mut tape,
+                &trained.params,
+                &batch.steps,
+                &batch.mask,
+                Some(&d_half.states),
+                false,
+            );
+            let bs = trace.states.as_ref().expect("state model given");
             for (r, &p) in chunk.iter().enumerate() {
                 states[p * t_steps * nf..(p + 1) * t_steps * nf]
                     .copy_from_slice(&bs[r * t_steps * nf..(r + 1) * t_steps * nf]);

@@ -53,8 +53,8 @@ proptest! {
             let h0 = cell.init_state(t, 2);
             let a = t.constant(Matrix::from_vec(2, 2, x1.clone()));
             let b = t.constant(Matrix::from_vec(2, 2, x2.clone()));
-            let h1 = cell.step(t, ps, a, h0);
-            let h2 = cell.step(t, ps, b, h1);
+            let h1 = cell.step(t, ps, &a, &h0);
+            let h2 = cell.step(t, ps, &b, &h1);
             t.mean_all(h2)
         });
         prop_assert!(err < 3e-2, "gradient error {err}");
