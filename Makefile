@@ -16,9 +16,12 @@ test:
 
 ## The tensor suite with SIMD forced off — proves the scalar fallback and
 ## the env override path on hosts where detection would pick AVX2 (the
-## cross-backend bit-identity tests cover the other direction).
+## cross-backend bit-identity tests cover the other direction) — then the
+## model-level identity suites (tape vs. inference, stream vs. batch
+## oracle, int8 snapshots) under the same forced-scalar kernels.
 test-scalar:
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet-tensor
+	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test infer_identity --test stream_identity --test quant_snapshot
 
 ## The benchmark (perfbench/) is a separate workspace that links the
 ## program crates by path: building and unit-testing it here catches an API

@@ -21,7 +21,8 @@ use crate::crlm::CohortPool;
 use crate::mflm::Mflm;
 use cohortnet_models::data::{make_batch, Prepared};
 use cohortnet_obs::{obs_debug, obs_info};
-use cohortnet_tensor::{Matrix, ParamStore, Tape};
+use cohortnet_tensor::exec::{Eval, Weights};
+use cohortnet_tensor::{Matrix, ParamStore};
 use rand::rngs::StdRng;
 use std::time::Instant;
 
@@ -213,6 +214,11 @@ pub fn discover_with_algo(
     // coarsening is invisible to the determinism contract.
     let task_rows = infer_batch * 4;
     let threads = cfg.n_threads;
+    // Both passes only read forward values, so they run on the
+    // non-recording executor over one weight table: no per-op graph and no
+    // per-use weight copy, and the same bits as the tape by the `Exec`
+    // contract.
+    let weights = &Weights::from_store(ps);
     let mut timing = DiscoveryTiming::default();
 
     // ---- Pass 1: sample fused representations + accumulate attention.
@@ -226,16 +232,14 @@ pub fn discover_with_algo(
     let mut attn_sum = Matrix::zeros(nf, nf);
     let mut attn_count = 0usize;
     let harvests = cohortnet_parallel::par_chunks(threads, &indices, task_rows, |_, task| {
-        let mut tape = Tape::new();
         task.chunks(infer_batch)
             .map(|chunk| {
                 let batch = make_batch(prep, chunk);
-                tape.reset();
-                let trace = mflm.forward(&mut tape, ps, &batch.steps, &batch.mask, None, false);
+                let trace =
+                    mflm.forward(&mut Eval, weights, &batch.steps, &batch.mask, None, false);
                 let mut offers = Vec::new();
                 for o_step in &trace.o {
-                    for (f, &o) in o_step.iter().enumerate() {
-                        let values = tape.value(o);
+                    for (f, values) in o_step.iter().enumerate() {
                         for r in 0..batch.size {
                             if batch.mask[(r, f)] > 0.5 {
                                 offers.push((f, values.row(r).to_vec()));
@@ -288,14 +292,12 @@ pub fn discover_with_algo(
     let mut h_final_all = Matrix::zeros(n_patients, nf * cfg.d_hidden);
     let states_ref = &states;
     let harvests = cohortnet_parallel::par_chunks(threads, &indices, task_rows, |_, task| {
-        let mut tape = Tape::new();
         task.chunks(infer_batch)
             .map(|chunk| {
                 let batch = make_batch(prep, chunk);
-                tape.reset();
                 let trace = mflm.forward(
-                    &mut tape,
-                    ps,
+                    &mut Eval,
+                    weights,
                     &batch.steps,
                     &batch.mask,
                     Some(states_ref),
@@ -308,8 +310,7 @@ pub fn discover_with_algo(
                     .map(|(r, &p)| {
                         let grid = bs[r * t_steps * nf..(r + 1) * t_steps * nf].to_vec();
                         let mut h_row = vec![0.0f32; nf * cfg.d_hidden];
-                        for (f, &h) in trace.h_final.iter().enumerate() {
-                            let hv = tape.value(h);
+                        for (f, hv) in trace.h_final.iter().enumerate() {
                             h_row[f * cfg.d_hidden..(f + 1) * cfg.d_hidden]
                                 .copy_from_slice(hv.row(r));
                         }
@@ -364,6 +365,7 @@ mod tests {
     use super::*;
     use cohortnet_ehr::{profiles, standardize::Standardizer, synth::generate};
     use cohortnet_models::data::prepare;
+    use cohortnet_tensor::Tape;
     use rand::SeedableRng;
 
     fn setup() -> (CohortNetConfig, Prepared) {

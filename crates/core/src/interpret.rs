@@ -19,6 +19,7 @@ use cohortnet_ehr::features::FeatureDef;
 use cohortnet_ehr::record::EhrDataset;
 use cohortnet_ehr::standardize::Standardizer;
 use cohortnet_models::data::{make_batch, Prepared};
+use cohortnet_tensor::exec::{Eval, Weights};
 use cohortnet_tensor::{Matrix, ParamStore, Tape};
 
 /// The state grid of every patient in a dataset.
@@ -114,12 +115,13 @@ pub fn compute_states(model: &CohortNetModel, ps: &ParamStore, prep: &Prepared) 
     let n = prep.patients.len();
     let mut data = vec![0u8; n * t_steps * nf];
     let indices: Vec<usize> = (0..n).collect();
+    // Values only: the non-recording executor, bit-identical to the tape.
+    let weights = Weights::from_store(ps);
     for chunk in indices.chunks(64) {
         let batch = make_batch(prep, chunk);
-        let mut tape = Tape::new();
         let trace = model.mflm.forward(
-            &mut tape,
-            ps,
+            &mut Eval,
+            &weights,
             &batch.steps,
             &batch.mask,
             Some(&d.states),
@@ -366,7 +368,7 @@ pub fn explain_patient(
             });
         }
     }
-    cohorts.sort_by(|a, b| b.score.abs().partial_cmp(&a.score.abs()).unwrap());
+    cohorts.sort_by(|a, b| b.score.abs().total_cmp(&a.score.abs()));
 
     PatientExplanation {
         base_prob,

@@ -215,45 +215,21 @@ impl Mflm {
             .collect()
     }
 
-    /// FIL at one time step: returns `(u_i, α_i)` per feature, where `α_i`
-    /// is the `(batch x F)` attention row of feature `i`.
+    /// FIL at one time step: projects every embedding to its query, key
+    /// and value, then runs the fused attention op. Returns `(u_i, α_i)`
+    /// per feature, where `α_i` is the `(batch x F)` attention row of
+    /// feature `i`.
     fn interact_step<E: Exec>(
         &self,
         e: &mut E,
         ps: &E::Params,
         es: &[E::V],
     ) -> (Vec<E::V>, Vec<E::V>) {
-        let nf = es.len();
         let scale = 1.0 / (self.d_embed as f32).sqrt();
         let qs: Vec<E::V> = es.iter().map(|x| self.wq.forward(e, ps, x)).collect();
         let ks: Vec<E::V> = es.iter().map(|x| self.wk.forward(e, ps, x)).collect();
         let vs: Vec<E::V> = es.iter().map(|x| self.wv.forward(e, ps, x)).collect();
-        let mut us = Vec::with_capacity(nf);
-        let mut alphas = Vec::with_capacity(nf);
-        for q in &qs {
-            let scores: Vec<E::V> = ks
-                .iter()
-                .map(|k| {
-                    let qk = e.mul(q, k);
-                    let s = e.sum_cols(&qk);
-                    e.scale(&s, scale)
-                })
-                .collect();
-            let mat = e.concat_cols(&scores.iter().collect::<Vec<_>>());
-            let alpha = e.softmax_rows(&mat);
-            let mut u: Option<E::V> = None;
-            for (j, v) in vs.iter().enumerate() {
-                let a_j = e.slice_cols(&alpha, j, j + 1);
-                let w = e.mul_col_broadcast(v, &a_j);
-                u = Some(match u {
-                    Some(acc) => e.add(&acc, &w),
-                    None => w,
-                });
-            }
-            us.push(u.unwrap());
-            alphas.push(alpha);
-        }
-        (us, alphas)
+        e.fil_attention(&qs, &ks, &vs, scale)
     }
 
     /// Full forward pass over a batch: `steps` holds one `(batch x F)`

@@ -212,6 +212,12 @@ impl QuantTable {
                     line: d_idx + 1,
                     why: format!("tensor {name:?} has a non-i8 weight"),
                 })?;
+            if !scales.iter().all(|s| s.is_finite()) {
+                return Err(QuantParseError::Malformed {
+                    line: s_idx + 1,
+                    why: format!("tensor {name:?} has a non-finite scale"),
+                });
+            }
             if scales.len() != n || data.len() != k * n {
                 return Err(bad(format!(
                     "tensor {name:?}: shape {k}x{n} disagrees with {} scales / {} weights",
@@ -353,6 +359,22 @@ mod tests {
             QuantTable::from_text(&text).unwrap_err(),
             QuantParseError::Malformed { .. }
         ));
+    }
+
+    #[test]
+    fn non_finite_scale_is_malformed() {
+        for bad in ["NaN", "inf", "-inf"] {
+            let text = format!(
+                "scheme\t{QUANT_SCHEME}\ntensor\tx\t1\t2\nscales\t0.5\t{bad}\ndata\t1\t2\n"
+            );
+            match QuantTable::from_text(&text).unwrap_err() {
+                QuantParseError::Malformed { line, why } => {
+                    assert_eq!(line, 3, "{bad}");
+                    assert!(why.contains("non-finite"), "{bad}: {why}");
+                }
+                other => panic!("{bad}: expected a malformed table, got {other:?}"),
+            }
+        }
     }
 
     #[test]

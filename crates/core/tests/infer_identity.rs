@@ -10,6 +10,7 @@ mod common;
 use cohortnet::config::CohortNetConfig;
 use cohortnet::infer::{Inferencer, ScoreRequest};
 use cohortnet::model::CohortNetModel;
+use cohortnet_ehr::features::CATALOG;
 use cohortnet_models::data::make_batch;
 use cohortnet_tensor::gemm::set_gemm_threads;
 use cohortnet_tensor::{Matrix, ParamStore, Tape};
@@ -162,4 +163,44 @@ fn scores_are_invariant_to_worker_and_gemm_threads() {
         }
     }
     set_gemm_threads(0);
+}
+
+#[test]
+fn full_catalog_width_matches_tape_and_is_batch_invariant() {
+    // The benchmark's width — all 32 catalog features, so FIL runs 32×32
+    // attention — at a short grid on a randomly initialised model, with
+    // FIL on and off: Tape vs. `Eval` and batch 1 vs. batch 5, to the bit.
+    for interactions in [true, false] {
+        let mut c = cohortnet_ehr::profiles::mimic3_like(0.05);
+        c.n_patients = 8;
+        c.time_steps = 6;
+        c.feature_codes = CATALOG.iter().map(|d| d.code).collect();
+        let mut ds = cohortnet_ehr::synth::generate(&c);
+        let scaler = cohortnet_ehr::standardize::Standardizer::fit(&ds);
+        scaler.apply(&mut ds);
+        let mut cfg = CohortNetConfig::for_dataset(&ds, &scaler);
+        cfg.use_interactions = interactions;
+        let prep = cohortnet_models::data::prepare(&ds);
+        assert_eq!(prep.n_features, 32);
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(23);
+        let model = CohortNetModel::new(&mut ps, &mut rng, &cfg);
+        let inf = Inferencer::compile(&model, &ps, 6);
+        let what = format!("F=32, interactions={interactions}");
+
+        let idx: Vec<usize> = (0..5).collect();
+        let batch = make_batch(&prep, &idx);
+        let mut tape = Tape::new();
+        let trace = model.forward_trace(&mut tape, &ps, &batch, false);
+        let out = inf.score(&batch.steps, &batch.mask);
+        assert_bits_eq(tape.value(trace.logits), &out.logits, &what);
+
+        let reqs = requests_from(&prep, &idx);
+        let full = inf.score_requests(&reqs);
+        for (r, req) in reqs.iter().enumerate() {
+            let solo = inf.score_requests(std::slice::from_ref(req));
+            let row = Matrix::from_vec(1, full.logits.cols(), full.logits.row(r).to_vec());
+            assert_bits_eq(&solo.logits, &row, &format!("{what}, request {r} alone"));
+        }
+    }
 }

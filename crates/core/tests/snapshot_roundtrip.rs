@@ -11,6 +11,7 @@ use cohortnet::snapshot::{load_snapshot, save_snapshot, SnapshotError};
 use cohortnet::stream::{StreamConfig, StreamEvent, StreamSession};
 use cohortnet_ehr::{generate_event_streams, EventStreamConfig};
 use cohortnet_models::data::make_batch;
+use cohortnet_tensor::checkpoint::CheckpointError;
 use cohortnet_tensor::ParamStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -335,5 +336,38 @@ fn rejects_partial_discovery_sections() {
             assert!(why.contains("discovery"), "undescriptive error: {why}")
         }
         other => panic!("expected a mismatch error, got {other:?}"),
+    }
+}
+
+#[test]
+fn rejects_non_finite_params() {
+    // A diverged run's snapshot with consistent checksums: every
+    // non-finite spelling `f32::from_str` accepts must be refused, naming
+    // the tensor, instead of loading and scoring `null` probabilities.
+    let text = snapshot_text();
+    for bad in ["NaN", "inf", "-inf"] {
+        let tampered = tamper(&text, "params", |payload| {
+            payload
+                .lines()
+                .map(|l| {
+                    if l.starts_with("param\tmflm.biel0.a\t") {
+                        let mut fields: Vec<&str> = l.split('\t').collect();
+                        fields[4] = bad; // first value after name/rows/cols
+                        fields.join("\t")
+                    } else {
+                        l.to_string()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+                + "\n"
+        });
+        assert_ne!(tampered, text, "fixture must contain mflm.biel0.a");
+        match load_snapshot(&tampered).err() {
+            Some(SnapshotError::Params(CheckpointError::NonFinite(name))) => {
+                assert_eq!(name, "mflm.biel0.a", "{bad}: wrong tensor named")
+            }
+            other => panic!("{bad}: expected a non-finite params error, got {other:?}"),
+        }
     }
 }

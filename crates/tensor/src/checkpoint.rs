@@ -25,6 +25,9 @@ pub enum CheckpointError {
     BadRecord(usize),
     /// The checkpoint does not match the store's registered parameters.
     Mismatch(String),
+    /// A value of the named parameter is `NaN` or infinite (a diverged
+    /// run): loading it would score `null` probabilities.
+    NonFinite(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -33,6 +36,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::BadHeader => write!(f, "missing #cohortnet-params v1 header"),
             CheckpointError::BadRecord(n) => write!(f, "malformed record at line {n}"),
             CheckpointError::Mismatch(what) => write!(f, "checkpoint mismatch: {what}"),
+            CheckpointError::NonFinite(name) => {
+                write!(f, "parameter {name:?} holds a non-finite value")
+            }
         }
     }
 }
@@ -98,6 +104,9 @@ pub fn load_params(store: &mut ParamStore, text: &str) -> Result<(), CheckpointE
         let values = values?;
         if values.len() != rows * cols {
             return Err(CheckpointError::BadRecord(n));
+        }
+        if !values.iter().all(|v| v.is_finite()) {
+            return Err(CheckpointError::NonFinite(name));
         }
         parsed.push((name, Matrix::from_vec(rows, cols, values)));
     }
@@ -192,6 +201,22 @@ mod tests {
             load_params(&mut fresh, text),
             Err(CheckpointError::BadRecord(2))
         ));
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        let text = save_params(&store());
+        for bad in ["NaN", "inf", "-inf"] {
+            // Replace the first value of `layer.b` (all zeros).
+            let tampered = text.replacen("\t1\t4\t0", &format!("\t1\t4\t{bad}"), 1);
+            assert_ne!(tampered, text, "fixture must contain the needle");
+            let mut fresh = store();
+            assert_eq!(
+                load_params(&mut fresh, &tampered),
+                Err(CheckpointError::NonFinite("layer.b".into())),
+                "{bad} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -65,18 +65,24 @@ pub trait Exec {
     fn mul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
     /// `(r x c) * (r x 1)`: scales row `r` of `a` by `w[r]`.
     fn mul_col_broadcast(&mut self, a: &Self::V, w: &Self::V) -> Self::V;
-    /// Multiplication by a scalar.
-    fn scale(&mut self, a: &Self::V, s: f32) -> Self::V;
     /// Element-wise hyperbolic tangent.
     fn tanh(&mut self, a: &Self::V) -> Self::V;
     /// Row-wise softmax.
     fn softmax_rows(&mut self, a: &Self::V) -> Self::V;
-    /// Row sums: `(r x c) -> (r x 1)`.
-    fn sum_cols(&mut self, a: &Self::V) -> Self::V;
     /// Horizontal concatenation.
     fn concat_cols(&mut self, parts: &[&Self::V]) -> Self::V;
-    /// Copy of columns `[start, end)`.
-    fn slice_cols(&mut self, a: &Self::V, start: usize, end: usize) -> Self::V;
+    /// The FIL attention core over `F = q.len()` features, per batch row:
+    /// `α_ij = softmax_j((q_i·k_j) · scale)` and `u_i = Σ_j α_ij v_j`
+    /// (written once in `exec::kernels`). Returns `(u, α)`: `u[i]` is
+    /// `(batch x d_v)`, `α[i]` the `(batch x F)` attention row of feature
+    /// `i`. `α` is an output only: no gradient flows back through it.
+    fn fil_attention(
+        &mut self,
+        q: &[Self::V],
+        k: &[Self::V],
+        v: &[Self::V],
+        scale: f32,
+    ) -> (Vec<Self::V>, Vec<Self::V>);
 }
 
 impl Exec for Tape {
@@ -124,24 +130,24 @@ impl Exec for Tape {
     fn mul_col_broadcast(&mut self, a: &Var, w: &Var) -> Var {
         Tape::mul_col_broadcast(self, *a, *w)
     }
-    fn scale(&mut self, a: &Var, s: f32) -> Var {
-        Tape::scale(self, *a, s)
-    }
     fn tanh(&mut self, a: &Var) -> Var {
         Tape::tanh(self, *a)
     }
     fn softmax_rows(&mut self, a: &Var) -> Var {
         Tape::softmax_rows(self, *a)
     }
-    fn sum_cols(&mut self, a: &Var) -> Var {
-        Tape::sum_cols(self, *a)
-    }
     fn concat_cols(&mut self, parts: &[&Var]) -> Var {
         let parts: Vec<Var> = parts.iter().map(|&&v| v).collect();
         Tape::concat_cols(self, &parts)
     }
-    fn slice_cols(&mut self, a: &Var, start: usize, end: usize) -> Var {
-        Tape::slice_cols(self, *a, start, end)
+    fn fil_attention(
+        &mut self,
+        q: &[Var],
+        k: &[Var],
+        v: &[Var],
+        scale: f32,
+    ) -> (Vec<Var>, Vec<Var>) {
+        Tape::fil_attention(self, q, k, v, scale)
     }
 }
 
@@ -185,9 +191,10 @@ impl Weights {
 /// [`Weights`] table.
 ///
 /// Values are deliberately plain matrices, not `Arc<Matrix>`: a refcounted
-/// handle costs a second heap allocation per op, which at the paper's shape
-/// (F=32, T=48, ~3.6·10⁵ ops per patient) made batch-1 scoring ~1.8×
-/// slower, and since every op borrows its operands nothing needs sharing.
+/// handle costs a second heap allocation per op (a patient takes ~6.5·10⁴
+/// ops at the paper's shape, F=32 and T=48; at ~3.6·10⁵, before FIL was one
+/// op, the handles made batch-1 scoring ~1.8× slower), and since every op
+/// borrows its operands nothing needs sharing.
 #[derive(Debug)]
 pub struct Eval;
 
@@ -244,23 +251,23 @@ impl Exec for Eval {
     fn mul_col_broadcast(&mut self, a: &Matrix, w: &Matrix) -> Matrix {
         kernels::mul_col_broadcast(Vec::with_capacity(a.len()), a, w)
     }
-    fn scale(&mut self, a: &Matrix, s: f32) -> Matrix {
-        a.scale(s)
-    }
     fn tanh(&mut self, a: &Matrix) -> Matrix {
         a.map(f32::tanh)
     }
     fn softmax_rows(&mut self, a: &Matrix) -> Matrix {
         a.softmax_rows()
     }
-    fn sum_cols(&mut self, a: &Matrix) -> Matrix {
-        a.sum_cols()
-    }
     fn concat_cols(&mut self, parts: &[&Matrix]) -> Matrix {
         Matrix::concat_cols(parts)
     }
-    fn slice_cols(&mut self, a: &Matrix, start: usize, end: usize) -> Matrix {
-        a.slice_cols(start, end)
+    fn fil_attention(
+        &mut self,
+        q: &[Matrix],
+        k: &[Matrix],
+        v: &[Matrix],
+        scale: f32,
+    ) -> (Vec<Matrix>, Vec<Matrix>) {
+        kernels::fil_attention(q, k, v, scale, Vec::with_capacity)
     }
 }
 
@@ -272,7 +279,8 @@ impl Exec for Eval {
 /// tape into its arena through `map`/`zip`, the evaluator through
 /// [`Matrix::add`] and friends, which measured ~3% faster at batch 1.
 pub(crate) mod kernels {
-    use crate::matrix::Matrix;
+    use crate::matrix::{softmax_in_place, Matrix};
+    use std::borrow::Borrow;
 
     /// Logistic sigmoid.
     pub(crate) fn sigmoid(x: f32) -> f32 {
@@ -358,6 +366,77 @@ pub(crate) mod kernels {
         crate::simd::gru_blend_slices(&mut buf, z.as_slice(), h.as_slice(), cand.as_slice());
         Matrix::from_vec(z.rows(), z.cols(), buf)
     }
+
+    /// The FIL attention core (Eq. 2) for `F = q.len()` features: per batch
+    /// row, `α_ij = softmax_j((q_i·k_j) · scale)` and `u_i = Σ_j α_ij v_j`.
+    /// Returns `(u, α)` per query feature; `buf(n)` supplies each output's
+    /// buffer (`n` floats).
+    ///
+    /// Every element is computed in the order of the composed op chain
+    /// (`mul` → `sum_cols` → `scale` → `concat_cols` → `softmax_rows` →
+    /// `slice_cols` → `mul_col_broadcast` → `add`) that FIL was written as
+    /// before this kernel, so existing snapshots score to the same bits: a
+    /// score is the product row summed by `Iterator::sum` (its `-0.0` seed
+    /// included) and then scaled; the softmax is [`Matrix::softmax_rows`]'s
+    /// own body; and `u_i` starts at `α_i0 v_0`, not at `0.0`, then adds
+    /// `α_ij v_j` for `j` ascending. Rows never mix, so a row's outputs do
+    /// not depend on its batch.
+    pub(crate) fn fil_attention<M: Borrow<Matrix>>(
+        q: &[M],
+        k: &[M],
+        v: &[M],
+        scale: f32,
+        mut buf: impl FnMut(usize) -> Vec<f32>,
+    ) -> (Vec<Matrix>, Vec<Matrix>) {
+        let nf = q.len();
+        assert!(nf > 0, "FIL attention needs at least one feature");
+        assert!(
+            k.len() == nf && v.len() == nf,
+            "FIL attention needs one q, k and v per feature"
+        );
+        let (batch, d) = q[0].borrow().shape();
+        let d_v = v[0].borrow().cols();
+        for m in q.iter().chain(k) {
+            assert_eq!(m.borrow().shape(), (batch, d), "FIL q/k shape mismatch");
+        }
+        for m in v {
+            assert_eq!(m.borrow().shape(), (batch, d_v), "FIL v shape mismatch");
+        }
+        let mut us = Vec::with_capacity(nf);
+        let mut alphas = Vec::with_capacity(nf);
+        for qi in q {
+            let qi = qi.borrow();
+            let mut a = buf(batch * nf);
+            a.resize(batch * nf, 0.0);
+            let mut u = buf(batch * d_v);
+            u.resize(batch * d_v, 0.0);
+            for r in 0..batch {
+                let q_row = qi.row(r);
+                let a_row = &mut a[r * nf..(r + 1) * nf];
+                for (s, kj) in a_row.iter_mut().zip(k) {
+                    let dot: f32 = q_row
+                        .iter()
+                        .zip(kj.borrow().row(r))
+                        .map(|(&x, &y)| x * y)
+                        .sum();
+                    *s = dot * scale;
+                }
+                softmax_in_place(a_row);
+                let u_row = &mut u[r * d_v..(r + 1) * d_v];
+                for (o, &x) in u_row.iter_mut().zip(v[0].borrow().row(r)) {
+                    *o = x * a_row[0];
+                }
+                for (&a_j, vj) in a_row.iter().zip(v).skip(1) {
+                    for (o, &x) in u_row.iter_mut().zip(vj.borrow().row(r)) {
+                        *o += x * a_j;
+                    }
+                }
+            }
+            us.push(Matrix::from_vec(batch, d_v, u));
+            alphas.push(Matrix::from_vec(batch, nf, a));
+        }
+        (us, alphas)
+    }
 }
 
 #[cfg(test)]
@@ -381,6 +460,12 @@ mod tests {
         let rhs = e.constant(m(5, 3, 5));
         let z = e.softmax_rows(&a);
         let cand = e.tanh(&b);
+        let (us, alphas) = e.fil_attention(
+            &[a.clone(), b.clone()],
+            &[b.clone(), a.clone()],
+            &[cand.clone(), a.clone()],
+            0.7,
+        );
         let outs = [
             e.matmul(&a, &rhs),
             e.matmul_nt(&a, &b),
@@ -393,14 +478,15 @@ mod tests {
             e.add(&a, &b),
             e.mul(&a, &b),
             e.mul_col_broadcast(&a, &col),
-            e.scale(&a, 0.3),
             cand.clone(),
             z.clone(),
-            e.sum_cols(&a),
             e.concat_cols(&[&a, &col, &b]),
-            e.slice_cols(&a, 1, 4),
         ];
-        outs.iter().map(|v| e.value(v).clone()).collect()
+        outs.iter()
+            .chain(&us)
+            .chain(&alphas)
+            .map(|v| e.value(v).clone())
+            .collect()
     }
 
     fn store() -> (ParamStore, [ParamId; 3]) {
@@ -478,6 +564,149 @@ mod tests {
             assert_bits_eq(&run(), &want, &format!("{backend:?}"));
         }
         crate::simd::set_backend(before);
+    }
+
+    /// The FIL attention chain `fil_attention` replaced, composed from
+    /// separate tape ops: the test-only oracle for the fused op's values
+    /// and gradients.
+    fn composed_fil(
+        t: &mut Tape,
+        q: &[Var],
+        k: &[Var],
+        v: &[Var],
+        scale: f32,
+    ) -> (Vec<Var>, Vec<Var>) {
+        let mut us = Vec::new();
+        let mut alphas = Vec::new();
+        for &qi in q {
+            let scores: Vec<Var> = k
+                .iter()
+                .map(|&kj| {
+                    let qk = t.mul(qi, kj);
+                    let s = t.sum_cols(qk);
+                    t.scale(s, scale)
+                })
+                .collect();
+            let mat = t.concat_cols(&scores);
+            let alpha = t.softmax_rows(mat);
+            let mut u: Option<Var> = None;
+            for (j, &vj) in v.iter().enumerate() {
+                let a_j = t.slice_cols(alpha, j, j + 1);
+                let w = t.mul_col_broadcast(vj, a_j);
+                u = Some(match u {
+                    Some(acc) => t.add(acc, w),
+                    None => w,
+                });
+            }
+            us.push(u.unwrap());
+            alphas.push(alpha);
+        }
+        (us, alphas)
+    }
+
+    /// Inputs for one FIL case: `nf` features of `(batch x d)` with zeros,
+    /// negative values and signed zeros mixed in.
+    fn fil_inputs(nf: usize, batch: usize, d: usize, seed: u32) -> [Vec<Matrix>; 3] {
+        [0, 1, 2].map(|set| {
+            (0..nf)
+                .map(|f| {
+                    let s = seed as usize + set * 7919 + f * 131;
+                    Matrix::from_fn(batch, d, |r, c| match (r * 5 + c * 3 + s) % 11 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        n => (n as f32 - 5.5) * 0.29 + (s % 7) as f32 * 0.013,
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// Runs FIL on a fresh tape, fused or composed, with a loss that gives
+    /// every `u_i` element its own gradient; returns `(u, α, dq, dk, dv)`.
+    fn fil_on_tape(fused: bool, inputs: &[Vec<Matrix>; 3], scale: f32) -> [Vec<Matrix>; 5] {
+        let mut t = Tape::new();
+        let [q, k, v] = inputs
+            .clone()
+            .map(|ms| ms.into_iter().map(|m| t.constant(m)).collect::<Vec<_>>());
+        let (us, alphas) = if fused {
+            t.fil_attention(&q, &k, &v, scale)
+        } else {
+            composed_fil(&mut t, &q, &k, &v, scale)
+        };
+        let joined = t.concat_cols(&us);
+        let (rows, cols) = t.value(joined).shape();
+        let target = Matrix::from_fn(rows, cols, |r, c| ((r * 7 + c * 3) % 5) as f32 * 0.2 - 0.4);
+        let loss = t.mse(joined, target);
+        t.backward(loss);
+        let values = |t: &Tape, vs: &[Var]| vs.iter().map(|&v| t.value(v).clone()).collect();
+        let grads = |t: &Tape, vs: &[Var]| vs.iter().map(|&v| t.grad(v).unwrap().clone()).collect();
+        [
+            values(&t, &us),
+            values(&t, &alphas),
+            grads(&t, &q),
+            grads(&t, &k),
+            grads(&t, &v),
+        ]
+    }
+
+    /// The fused op computes the composed chain's bits — forward on both
+    /// executors, and the tape's gradients — at one, a few and many
+    /// features, odd widths, batch 1 and 5, with zeros of both signs.
+    #[test]
+    fn fil_attention_matches_composed_oracle_bitwise() {
+        for (nf, d, batch) in [
+            (1, 3, 1),
+            (1, 4, 5),
+            (3, 5, 1),
+            (3, 7, 5),
+            (33, 5, 1),
+            (33, 8, 5),
+        ] {
+            let scale = 1.0 / (d as f32).sqrt();
+            let inputs = fil_inputs(nf, batch, d, (nf * 10 + d) as u32);
+            let want = fil_on_tape(false, &inputs, scale);
+            let got = fil_on_tape(true, &inputs, scale);
+            let what = format!("F={nf} d={d} batch={batch}");
+            for (part, name) in ["u", "alpha", "dq", "dk", "dv"].iter().enumerate() {
+                assert_bits_eq(&got[part], &want[part], &format!("{name}, {what}"));
+            }
+            let [q, k, v] = &inputs;
+            let (us, alphas) = Eval.fil_attention(q, k, v, scale);
+            assert_bits_eq(&us, &want[0], &format!("eval u, {what}"));
+            assert_bits_eq(&alphas, &want[1], &format!("eval alpha, {what}"));
+        }
+    }
+
+    /// Row `r`'s outputs depend on row `r` of the inputs only: rewriting
+    /// every other row leaves them unchanged, and so does scoring the row
+    /// alone.
+    #[test]
+    fn fil_attention_rows_are_independent() {
+        let (nf, batch, d) = (4, 5, 3);
+        let [q, k, v] = fil_inputs(nf, batch, d, 3);
+        let [q2, k2, v2] = fil_inputs(nf, batch, d, 9);
+        let r = 2;
+        let splice = |base: &[Matrix], other: &[Matrix]| -> Vec<Matrix> {
+            base.iter()
+                .zip(other)
+                .map(|(b, o)| {
+                    Matrix::from_fn(batch, d, |i, c| if i == r { b[(i, c)] } else { o[(i, c)] })
+                })
+                .collect()
+        };
+        let (want_u, want_a) = Eval.fil_attention(&q, &k, &v, 0.5);
+        let (got_u, got_a) =
+            Eval.fil_attention(&splice(&q, &q2), &splice(&k, &k2), &splice(&v, &v2), 0.5);
+        let row = |ms: &[Matrix], i: usize| -> Vec<Matrix> {
+            ms.iter()
+                .map(|m| Matrix::from_vec(1, m.cols(), m.row(i).to_vec()))
+                .collect()
+        };
+        assert_bits_eq(&row(&got_u, r), &row(&want_u, r), "u under other rows");
+        assert_bits_eq(&row(&got_a, r), &row(&want_a, r), "alpha under other rows");
+        let (solo_u, solo_a) = Eval.fil_attention(&row(&q, r), &row(&k, r), &row(&v, r), 0.5);
+        assert_bits_eq(&solo_u, &row(&want_u, r), "u alone");
+        assert_bits_eq(&solo_a, &row(&want_a, r), "alpha alone");
     }
 
     /// `Matrix::matmul` (fresh, non-accumulating) equals the tape's

@@ -215,6 +215,26 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_fil_attention() {
+        // The fused FIL attention op with every q, k and v on the parameter
+        // path, so all three input gradients are checked; the MSE target
+        // gives every u element its own upstream gradient.
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(47);
+        let ids: Vec<ParamId> = (0..9)
+            .map(|i| ps.register(format!("p{i}"), crate::init::uniform(&mut rng, 2, 3, 0.8)))
+            .collect();
+        let err = max_grad_error(&mut ps, 1e-2, |t, ps| {
+            let vars: Vec<Var> = ids.iter().map(|&id| t.param(ps, id)).collect();
+            let (us, _) = t.fil_attention(&vars[0..3], &vars[3..6], &vars[6..9], 0.6);
+            let u = t.concat_cols(&us);
+            let target = Matrix::from_fn(2, 9, |r, c| ((r * 4 + c) % 5) as f32 * 0.3 - 0.6);
+            t.mse(u, target)
+        });
+        assert!(err < TOL, "max grad err {err}");
+    }
+
+    #[test]
     fn fused_gate_matches_unfused_chain() {
         // Same inputs through the fused node and the three-op chain it
         // replaces: values and input gradients must agree.

@@ -396,18 +396,7 @@ impl Matrix {
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
         for r in 0..out.rows {
-            let row = out.row_mut(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                sum += *x;
-            }
-            if sum > 0.0 {
-                for x in row.iter_mut() {
-                    *x /= sum;
-                }
-            }
+            softmax_in_place(out.row_mut(r));
         }
         out
     }
@@ -436,6 +425,23 @@ impl Matrix {
     /// True when all elements are finite (no NaN / infinity).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+/// Softmax of one row in place: subtract the row maximum, exponentiate,
+/// divide by the sum (skipped when it is zero). The one body behind
+/// [`Matrix::softmax_rows`] and the fused FIL attention kernel.
+pub(crate) fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    if sum > 0.0 {
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
     }
 }
 

@@ -32,6 +32,13 @@ enum GateKind {
     Tanh,
 }
 
+/// Pops a recycled buffer (emptied, capacity retained) or a fresh one.
+fn pop_buf(pool: &mut Vec<Vec<f32>>) -> Vec<f32> {
+    let mut buf = pool.pop().unwrap_or_default();
+    buf.clear();
+    buf
+}
+
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
@@ -74,6 +81,17 @@ enum Op {
     GateAct(Var, Var, Var, GateKind),
     /// Fused GRU state blend: `(1-z) ⊙ h + z ⊙ cand`.
     GruBlend(Var, Var, Var),
+    /// `u_i` of one FIL attention call ([`Tape::fil_attention`]); the call's
+    /// operands are `Tape::fil_operands[operands..operands + 3 * nf]`
+    /// (every `q`, then every `k`, then every `v`), and `alpha` is the
+    /// constant node holding feature `query`'s attention row.
+    FilAttention {
+        operands: usize,
+        nf: usize,
+        query: usize,
+        alpha: Var,
+        scale: f32,
+    },
 }
 
 struct Node {
@@ -87,6 +105,8 @@ pub struct Tape {
     nodes: Vec<Node>,
     /// Recycled `f32` buffers (the arena free-list); see the module docs.
     pool: Vec<Vec<f32>>,
+    /// Operand lists of the [`Op::FilAttention`] nodes.
+    fil_operands: Vec<Var>,
 }
 
 impl Default for Tape {
@@ -101,6 +121,7 @@ impl Tape {
         Tape {
             nodes: Vec::with_capacity(1024),
             pool: Vec::new(),
+            fil_operands: Vec::new(),
         }
     }
 
@@ -117,6 +138,7 @@ impl Tape {
             }
         }
         self.nodes = nodes;
+        self.fil_operands.clear();
     }
 
     /// Returns a value buffer to the arena.
@@ -129,9 +151,7 @@ impl Tape {
 
     /// Pops a recycled buffer (emptied, capacity retained) or a fresh one.
     fn grab(&mut self) -> Vec<f32> {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf
+        pop_buf(&mut self.pool)
     }
 
     /// An all-zero `rows x cols` matrix backed by the arena.
@@ -334,6 +354,44 @@ impl Tape {
         );
         let v = kernels::gru_blend(buf, zm, hm, cm);
         self.push(v, Op::GruBlend(z, h, cand))
+    }
+
+    /// The FIL attention core (see [`crate::Exec::fil_attention`]).
+    ///
+    /// Records feature `i`'s attention row `α_i` as a constant and `u_i` as
+    /// one node with a hand-written backward that reproduces, bit for bit,
+    /// the gradient of the composed op chain the kernel replaced.
+    pub fn fil_attention(
+        &mut self,
+        q: &[Var],
+        k: &[Var],
+        v: &[Var],
+        scale: f32,
+    ) -> (Vec<Var>, Vec<Var>) {
+        let (us, alphas) = {
+            let (nodes, pool) = (&self.nodes, &mut self.pool);
+            let values =
+                |vars: &[Var]| -> Vec<&Matrix> { vars.iter().map(|v| &nodes[v.0].value).collect() };
+            kernels::fil_attention(&values(q), &values(k), &values(v), scale, |_| pop_buf(pool))
+        };
+        let operands = self.fil_operands.len();
+        self.fil_operands.extend(q.iter().chain(k).chain(v));
+        let nf = q.len();
+        let mut u_vars = Vec::with_capacity(nf);
+        let mut alpha_vars = Vec::with_capacity(nf);
+        for (query, (u, alpha)) in us.into_iter().zip(alphas).enumerate() {
+            let alpha = self.push(alpha, Op::Leaf);
+            let op = Op::FilAttention {
+                operands,
+                nf,
+                query,
+                alpha,
+                scale,
+            };
+            u_vars.push(self.push(u, op));
+            alpha_vars.push(alpha);
+        }
+        (u_vars, alpha_vars)
     }
 
     /// Row-wise softmax.
@@ -716,7 +774,89 @@ impl Tape {
                 }
                 self.nodes[cand.0].grad = Some(gc);
             }
+            Op::FilAttention {
+                operands,
+                nf,
+                query,
+                alpha,
+                scale,
+            } => self.fil_attention_backward(*operands, *nf, *query, *alpha, *scale, g),
         }
+    }
+
+    /// Backward of `u_i = Σ_j α_ij v_j`, `α_i = softmax_j(s · q_i·k_j)` for
+    /// one query `i`, per batch row, given `g = ∂L/∂u_i`:
+    ///
+    /// * `dv_j += α_ij g` and `dα_ij = g·v_j`, for `j` descending;
+    /// * softmax backward `dS_ij = α_ij (dα_ij − Σ_j' α_ij' dα_ij')`;
+    /// * `dq_i += s dS_ij k_j` and `dk_j += s dS_ij q_i`, for `j` descending.
+    ///
+    /// Every sum runs in the order of the backward of the composed chain
+    /// FIL was written as before the fused op (`mul` / `sum_cols` / `scale` /
+    /// `concat_cols` / `softmax_rows` / `slice_cols` / `mul_col_broadcast` /
+    /// `add`), so training computes that chain's gradient bits. The chain
+    /// also passed each intermediate through a freshly zeroed buffer
+    /// (`0.0 + x`), which only turns `-0.0` into `0.0`; that is skipped here
+    /// because a signed zero can change no accumulated gradient: every
+    /// gradient buffer starts at `+0.0` and only accumulates, so it never
+    /// holds `-0.0`, and `x + ±0.0 = x` for every other `x`.
+    fn fil_attention_backward(
+        &mut self,
+        operands: usize,
+        nf: usize,
+        query: usize,
+        alpha: Var,
+        scale: f32,
+        g: &Matrix,
+    ) {
+        let operand =
+            |tape: &Tape, set: usize, j: usize| tape.fil_operands[operands + set * nf + j];
+        let batch = g.rows();
+        // dα, then dS in place.
+        let mut ds = self.alloc_zero(batch, nf);
+        for j in (0..nf).rev() {
+            let vj = operand(self, 2, j);
+            let mut dv = self.take_grad(vj);
+            let (v_val, a_val) = (&self.nodes[vj.0].value, &self.nodes[alpha.0].value);
+            for r in 0..batch {
+                let a = a_val[(r, j)];
+                for (o, &x) in dv.row_mut(r).iter_mut().zip(g.row(r)) {
+                    *o += x * a;
+                }
+                ds[(r, j)] = g
+                    .row(r)
+                    .iter()
+                    .zip(v_val.row(r))
+                    .map(|(&x, &y)| x * y)
+                    .sum();
+            }
+            self.nodes[vj.0].grad = Some(dv);
+        }
+        let a_val = &self.nodes[alpha.0].value;
+        for r in 0..batch {
+            let a_row = a_val.row(r);
+            let d_row = ds.row_mut(r);
+            let dot: f32 = a_row.iter().zip(d_row.iter()).map(|(&y, &gi)| y * gi).sum();
+            for (d, &y) in d_row.iter_mut().zip(a_row) {
+                *d = y * (*d - dot);
+            }
+        }
+        let qi = operand(self, 0, query);
+        for j in (0..nf).rev() {
+            let kj = operand(self, 1, j);
+            for (dst, src) in [(qi, kj), (kj, qi)] {
+                let mut grad = self.take_grad(dst);
+                let src_val = &self.nodes[src.0].value;
+                for r in 0..batch {
+                    let gs = ds[(r, j)] * scale;
+                    for (o, &x) in grad.row_mut(r).iter_mut().zip(src_val.row(r)) {
+                        *o += gs * x;
+                    }
+                }
+                self.nodes[dst.0].grad = Some(grad);
+            }
+        }
+        self.reclaim(ds);
     }
 
     /// Accumulates parameter-leaf gradients into the store.
