@@ -5,8 +5,11 @@ CARGO ?= cargo
 ## Seeds the chaos harness runs at (CI runs all three and uploads the logs).
 CHAOS_SEEDS ?= 42 7 1234
 
-## Full local verification: what CI runs, in the same order.
-verify: build test test-scalar test-perfbench clippy fmt fleet-smoke stream-smoke
+## Full local verification: the CI steps, in CI order. It leaves out the
+## two artifact producers, bench-smoke and load-smoke: they exist to write
+## the perf trajectory CI uploads, and a local run would rewrite the
+## tracked BENCH_*.json files with this host's numbers.
+verify: build test test-scalar test-perfbench clippy fmt serve-smoke trace-smoke chaos-smoke fleet-smoke stream-smoke
 
 build:
 	$(CARGO) build --release
@@ -18,10 +21,11 @@ test:
 ## the env override path on hosts where detection would pick AVX2 (the
 ## cross-backend bit-identity tests cover the other direction) — then the
 ## model-level identity suites (tape vs. inference, stream vs. batch
-## oracle, int8 snapshots) under the same forced-scalar kernels.
+## oracle, int8 snapshots, the committed forward-bits table) under the same
+## forced-scalar kernels.
 test-scalar:
 	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet-tensor
-	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test infer_identity --test stream_identity --test quant_snapshot
+	COHORTNET_SIMD=scalar $(CARGO) test -q -p cohortnet --test infer_identity --test stream_identity --test quant_snapshot --test forward_golden
 
 ## The benchmark (perfbench/) is a separate workspace that links the
 ## program crates by path: building and unit-testing it here catches an API

@@ -238,11 +238,11 @@ pub fn discover_with_algo(
                 let trace =
                     mflm.forward(&mut Eval, weights, &batch.steps, &batch.mask, None, false);
                 let mut offers = Vec::new();
-                for o_step in &trace.o {
-                    for (f, values) in o_step.iter().enumerate() {
+                for values in &trace.o {
+                    for f in 0..nf {
                         for r in 0..batch.size {
                             if batch.mask[(r, f)] > 0.5 {
-                                offers.push((f, values.row(r).to_vec()));
+                                offers.push((f, values.row(f * batch.size + r).to_vec()));
                             }
                         }
                     }

@@ -16,29 +16,31 @@
 use crate::cdm::FeatureStates;
 use crate::config::CohortNetConfig;
 use cohortnet_tensor::nn::{GruCell, Linear};
-use cohortnet_tensor::{Exec, Matrix, ParamId, ParamStore, Var};
+use cohortnet_tensor::{Exec, Matrix, ParamId, ParamStore};
 use rand::rngs::StdRng;
 
-/// Per-feature BiEL embedding parameters.
-#[derive(Debug, Clone)]
-struct BielChannel {
-    v_a: ParamId,
-    v_b: ParamId,
-    v_m: ParamId,
-    bound_lo: f32,
-    bound_hi: f32,
-}
-
 /// The Multi-channel Feature Learning Module.
+///
+/// The forward runs every layer once per time step for all `F` channels
+/// over *feature-stacked* values: an `(F·B x d)` matrix whose row group
+/// `f` (rows `f·B .. f·B+B`) is channel `f`'s `(B x d)` value. Shared
+/// layers (FIL projections, FeaFus, FeaAgg) are tiled over the groups;
+/// per-channel ones (BiEL, the trend and channel GRUs) hold one parameter
+/// per group. See DESIGN.md §5d.
 #[derive(Debug, Clone)]
 pub struct Mflm {
-    biel: Vec<BielChannel>,
+    /// BiEL `v_a`, `v_b` and `v_m` (Eq. 1), one per channel.
+    biel_a: Vec<ParamId>,
+    biel_b: Vec<ParamId>,
+    biel_m: Vec<ParamId>,
+    /// BiEL bounds `(a, b)` per channel.
+    bounds: Vec<(f32, f32)>,
     wq: Linear,
     wk: Linear,
     wv: Linear,
-    lgru: Vec<GruCell>,
+    lgru: GruCell,
     feafus: Linear,
-    ggru: Vec<GruCell>,
+    ggru: GruCell,
     agg: Linear,
     head: Linear,
     /// Embedding width.
@@ -56,18 +58,19 @@ pub struct Mflm {
 }
 
 /// Everything a forward pass exposes to the rest of the pipeline. `V` is the
-/// executor's value handle: [`Var`] on the tape.
-pub struct MflmTrace<V = Var> {
+/// executor's value handle: [`Var`](cohortnet_tensor::Var) on the tape.
+pub struct MflmTrace<V = cohortnet_tensor::Var> {
     /// Prediction logits from `h̃` alone (`w^p · h̃ + b^p` of Eq. 14).
     pub logits: V,
     /// Patient-level representation `h̃` (`batch x F*d_agg`).
     pub tilde_h: V,
-    /// Fused feature representations `o[t][f]` (`batch x d_o` each) — the
-    /// vectors the Cohort Discovery Module clusters into states. Recorded
-    /// only when the forward is given no state model: discovery fits the
-    /// model on them, and once one exists the forward assigns states inline
-    /// instead of keeping `T x F` values alive.
-    pub o: Vec<Vec<V>>,
+    /// Fused feature representations per time step, feature-stacked
+    /// (`F·batch x d_o`: row `f·batch + r` is `o[t][f]` of batch row `r`)
+    /// — the vectors the Cohort Discovery Module clusters into states.
+    /// Recorded only when the forward is given no state model: discovery
+    /// fits the model on them, and once one exists the forward assigns
+    /// states inline instead of keeping `T` values alive.
+    pub o: Vec<V>,
     /// Feature-state grid, row-major `(batch x (T x F))` — per patient,
     /// `T*F` states — when the forward is given a state model.
     pub states: Option<Vec<u8>>,
@@ -93,49 +96,41 @@ impl Mflm {
             nf > 0,
             "config has no feature bounds — use CohortNetConfig::for_dataset"
         );
-        let biel = (0..nf)
-            .map(|f| {
-                let (a, b) = cfg.bounds[f];
-                BielChannel {
-                    v_a: ps.register(
-                        format!("mflm.biel{f}.a"),
-                        cohortnet_tensor::init::uniform(rng, 1, cfg.d_embed, 0.3),
-                    ),
-                    v_b: ps.register(
-                        format!("mflm.biel{f}.b"),
-                        cohortnet_tensor::init::uniform(rng, 1, cfg.d_embed, 0.3),
-                    ),
-                    v_m: ps.register(
-                        format!("mflm.biel{f}.m"),
-                        cohortnet_tensor::init::uniform(rng, 1, cfg.d_embed, 0.3),
-                    ),
-                    bound_lo: a,
-                    bound_hi: b,
-                }
-            })
-            .collect();
-        let lgru = (0..nf)
+        let (mut biel_a, mut biel_b, mut biel_m) = (Vec::new(), Vec::new(), Vec::new());
+        for f in 0..nf {
+            let mut register = |part: &str| {
+                ps.register(
+                    format!("mflm.biel{f}.{part}"),
+                    cohortnet_tensor::init::uniform(rng, 1, cfg.d_embed, 0.3),
+                )
+            };
+            biel_a.push(register("a"));
+            biel_b.push(register("b"));
+            biel_m.push(register("m"));
+        }
+        let lgru: Vec<GruCell> = (0..nf)
             .map(|f| GruCell::new(ps, rng, &format!("mflm.lgru{f}"), cfg.d_embed, cfg.d_trend))
             .collect();
-        let ggru = (0..nf)
+        let ggru: Vec<GruCell> = (0..nf)
             .map(|f| GruCell::new(ps, rng, &format!("mflm.ggru{f}"), cfg.d_fused, cfg.d_hidden))
             .collect();
+        let d = cfg.d_embed;
+        let mut tiled = |name: &str, in_dim: usize, out_dim: usize| {
+            Linear::new(ps, rng, name, in_dim, out_dim).tile(nf)
+        };
         Mflm {
-            biel,
-            wq: Linear::new(ps, rng, "mflm.fil.wq", cfg.d_embed, cfg.d_embed),
-            wk: Linear::new(ps, rng, "mflm.fil.wk", cfg.d_embed, cfg.d_embed),
-            wv: Linear::new(ps, rng, "mflm.fil.wv", cfg.d_embed, cfg.d_embed),
-            feafus: Linear::new(
-                ps,
-                rng,
-                "mflm.feafus",
-                2 * cfg.d_embed + cfg.d_trend,
-                cfg.d_fused,
-            ),
-            agg: Linear::new(ps, rng, "mflm.agg", cfg.d_hidden, cfg.d_agg),
+            biel_a,
+            biel_b,
+            biel_m,
+            bounds: cfg.bounds[..nf].to_vec(),
+            wq: tiled("mflm.fil.wq", d, d),
+            wk: tiled("mflm.fil.wk", d, d),
+            wv: tiled("mflm.fil.wv", d, d),
+            feafus: tiled("mflm.feafus", 2 * d + cfg.d_trend, cfg.d_fused),
+            agg: tiled("mflm.agg", cfg.d_hidden, cfg.d_agg),
             head: Linear::new(ps, rng, "mflm.head", nf * cfg.d_agg, cfg.n_labels),
-            lgru,
-            ggru,
+            lgru: GruCell::stack(&lgru),
+            ggru: GruCell::stack(&ggru),
             d_embed: cfg.d_embed,
             d_fused: cfg.d_fused,
             d_hidden: cfg.d_hidden,
@@ -148,7 +143,7 @@ impl Mflm {
 
     /// Number of channels.
     pub fn n_features(&self) -> usize {
-        self.biel.len()
+        self.bounds.len()
     }
 
     /// The trunk weights the int8 serving path quantizes (every hot `x · W`
@@ -165,8 +160,8 @@ impl Mflm {
             ("mflm.head".into(), self.head.weight()),
         ];
         for f in 0..self.n_features() {
-            for (cell, kind) in [(&self.lgru[f], "lgru"), (&self.ggru[f], "ggru")] {
-                for (suffix, id) in cell.weights() {
+            for (cell, kind) in [(&self.lgru, "lgru"), (&self.ggru, "ggru")] {
+                for (suffix, id) in cell.weights(f) {
                     out.push((format!("mflm.{kind}.{f}.{suffix}"), id));
                 }
             }
@@ -174,68 +169,48 @@ impl Mflm {
         out
     }
 
-    /// BiEL embeddings for all features at one time step.
+    /// BiEL embeddings (Eq. 1) for all features at one time step, stacked
+    /// `(F·batch x d_embed)`. `on`/`off` are the stacked `(F·batch x 1)`
+    /// presence indicators.
     fn embed_step<E: Exec>(
         &self,
         e: &mut E,
         ps: &E::Params,
         step: &Matrix,
-        mask: &Matrix,
-    ) -> Vec<E::V> {
+        on: &E::V,
+        off: &E::V,
+    ) -> E::V {
         let batch = step.rows();
-        (0..self.biel.len())
-            .map(|f| {
-                let ch = &self.biel[f];
-                let range = (ch.bound_hi - ch.bound_lo).max(1e-4);
-                // Interpolation weights are pure data — no gradient flows
-                // through the raw values, matching Eq. 1.
-                let mut w_a = Matrix::zeros(batch, 1);
-                let mut w_b = Matrix::zeros(batch, 1);
-                let mut m_on = Matrix::zeros(batch, 1);
-                let mut m_off = Matrix::zeros(batch, 1);
-                for r in 0..batch {
-                    let x = step[(r, f)].clamp(ch.bound_lo, ch.bound_hi);
-                    w_a[(r, 0)] = (x - ch.bound_lo) / range;
-                    w_b[(r, 0)] = (ch.bound_hi - x) / range;
-                    let present = mask[(r, f)] > 0.5;
-                    m_on[(r, 0)] = f32::from(present);
-                    m_off[(r, 0)] = f32::from(!present);
-                }
-                let wa = e.constant(w_a);
-                let wb = e.constant(w_b);
-                let mon = e.constant(m_on);
-                let moff = e.constant(m_off);
-                let ea = e.matmul_w(ps, &wa, ch.v_a);
-                let eb = e.matmul_w(ps, &wb, ch.v_b);
-                let e_present = e.add(&ea, &eb);
-                let e_masked = e.mul_col_broadcast(&e_present, &mon);
-                let em = e.matmul_w(ps, &moff, ch.v_m);
-                e.add(&e_masked, &em)
-            })
-            .collect()
-    }
-
-    /// FIL at one time step: projects every embedding to its query, key
-    /// and value, then runs the fused attention op. Returns `(u_i, α_i)`
-    /// per feature, where `α_i` is the `(batch x F)` attention row of
-    /// feature `i`.
-    fn interact_step<E: Exec>(
-        &self,
-        e: &mut E,
-        ps: &E::Params,
-        es: &[E::V],
-    ) -> (Vec<E::V>, Vec<E::V>) {
-        let scale = 1.0 / (self.d_embed as f32).sqrt();
-        let qs: Vec<E::V> = es.iter().map(|x| self.wq.forward(e, ps, x)).collect();
-        let ks: Vec<E::V> = es.iter().map(|x| self.wk.forward(e, ps, x)).collect();
-        let vs: Vec<E::V> = es.iter().map(|x| self.wv.forward(e, ps, x)).collect();
-        e.fil_attention(&qs, &ks, &vs, scale)
+        let rows = self.n_features() * batch;
+        // Interpolation weights are pure data — no gradient flows through
+        // the raw values, matching Eq. 1.
+        let mut w_a = Matrix::zeros(rows, 1);
+        let mut w_b = Matrix::zeros(rows, 1);
+        for (f, &(lo, hi)) in self.bounds.iter().enumerate() {
+            let range = (hi - lo).max(1e-4);
+            for r in 0..batch {
+                let x = step[(r, f)].clamp(lo, hi);
+                w_a[(f * batch + r, 0)] = (x - lo) / range;
+                w_b[(f * batch + r, 0)] = (hi - x) / range;
+            }
+        }
+        let wa = e.constant(w_a);
+        let wb = e.constant(w_b);
+        let ea = e.matmul_w(ps, &wa, &self.biel_a);
+        let eb = e.matmul_w(ps, &wb, &self.biel_b);
+        let e_present = e.add(&ea, &eb);
+        let e_masked = e.mul_col_broadcast(&e_present, on);
+        let em = e.matmul_w(ps, off, &self.biel_m);
+        e.add(&e_masked, &em)
     }
 
     /// Full forward pass over a batch: `steps` holds one `(batch x F)`
     /// matrix per time step, `mask` the `(batch x F)` presence mask. With
     /// a state model, each fused representation is assigned its feature
     /// state (Eq. 7) as soon as it is computed (see [`MflmTrace::states`]).
+    ///
+    /// Each layer issues a fixed number of ops per time step, for all `F`
+    /// channels at once (see [`Mflm`]).
     ///
     /// `record_attention_steps` additionally stores each step's full
     /// attention matrix (use for single-patient interpretation only — it is
@@ -251,10 +226,32 @@ impl Mflm {
     ) -> MflmTrace<E::V> {
         let nf = self.n_features();
         let (size, t_steps) = (mask.rows(), steps.len());
+        let rows = nf * size;
         let mut grid = states.map(|_| vec![0u8; size * t_steps * nf]);
-        let mut lstate: Vec<E::V> = self.lgru.iter().map(|c| c.init_state(e, size)).collect();
-        let mut gstate: Vec<E::V> = self.ggru.iter().map(|c| c.init_state(e, size)).collect();
-        let mut o_all: Vec<Vec<E::V>> = Vec::with_capacity(steps.len());
+        let mut on = Matrix::zeros(rows, 1);
+        let mut off = Matrix::zeros(rows, 1);
+        for f in 0..nf {
+            for r in 0..size {
+                let present = mask[(r, f)] > 0.5;
+                on[(f * size + r, 0)] = f32::from(present);
+                off[(f * size + r, 0)] = f32::from(!present);
+            }
+        }
+        let on = e.constant(on);
+        let off = e.constant(off);
+        let mut lstate = self.lgru.init_state(e, rows);
+        let mut gstate = self.ggru.init_state(e, rows);
+        // Ablations: zero trends; zero interaction vectors and uniform
+        // attention.
+        let zero_trend = (!self.use_trends).then(|| e.constant(Matrix::zeros(rows, self.d_trend)));
+        let no_fil = (!self.use_interactions).then(|| {
+            (
+                e.constant(Matrix::zeros(rows, self.d_embed)),
+                e.constant(Matrix::full(rows, nf, 1.0 / nf as f32)),
+            )
+        });
+        let scale = 1.0 / (self.d_embed as f32).sqrt();
+        let mut o_all: Vec<E::V> = Vec::with_capacity(steps.len());
         let mut attn_sum = Matrix::zeros(nf, nf);
         let mut attn_count = 0usize;
         let mut attn_per_step = if record_attention_steps {
@@ -264,22 +261,25 @@ impl Mflm {
         };
 
         for (t, step) in steps.iter().enumerate() {
-            let es = self.embed_step(e, ps, step, mask);
-            let (us, alphas) = if self.use_interactions {
-                self.interact_step(e, ps, &es)
-            } else {
-                // Ablation: zero interaction vectors, uniform attention.
-                let zero = e.constant(Matrix::zeros(size, self.d_embed));
-                let uniform = e.constant(Matrix::full(size, nf, 1.0 / nf as f32));
-                (vec![zero; nf], vec![uniform; nf])
+            let es = self.embed_step(e, ps, step, &on, &off);
+            let fil;
+            let (us, alphas) = match &no_fil {
+                Some((u, a)) => (u, a),
+                None => {
+                    let q = self.wq.forward(e, ps, &es);
+                    let k = self.wk.forward(e, ps, &es);
+                    let v = self.wv.forward(e, ps, &es);
+                    fil = e.fil_attention(&q, &k, &v, nf, scale);
+                    (&fil.0, &fil.1)
+                }
             };
             // Accumulate attention mass for CDM's pattern mask.
             let mut step_attn = Matrix::zeros(nf, nf);
-            for (i, a) in alphas.iter().enumerate() {
-                let av = e.value(a);
+            let av = e.value(alphas);
+            for i in 0..nf {
                 let acc = step_attn.row_mut(i);
-                for r in 0..av.rows() {
-                    for (s, &x) in acc.iter_mut().zip(av.row(r)) {
+                for r in 0..size {
+                    for (s, &x) in acc.iter_mut().zip(av.row(i * size + r)) {
                         *s += x;
                     }
                 }
@@ -290,58 +290,43 @@ impl Mflm {
                 rec.push(step_attn.scale(1.0 / size as f32));
             }
             // Trend, fusion, global channel update.
-            let mut o_step = Vec::with_capacity(nf);
-            let zero_trend = if self.use_trends {
-                None
-            } else {
-                Some(e.constant(Matrix::zeros(size, self.d_trend)))
-            };
-            for f in 0..nf {
-                let trend = match &zero_trend {
-                    Some(z) => z,
-                    None => {
-                        lstate[f] = self.lgru[f].step(e, ps, &es[f], &lstate[f]);
-                        &lstate[f]
-                    }
-                };
-                let joined = e.concat_cols(&[&es[f], &us[f], trend]);
-                let fused_pre = self.feafus.forward(e, ps, &joined);
-                let o = e.tanh(&fused_pre);
-                gstate[f] = self.ggru[f].step(e, ps, &o, &gstate[f]);
-                match (states, grid.as_mut()) {
-                    (Some(fs), Some(grid)) => {
-                        let values = e.value(&o);
+            if zero_trend.is_none() {
+                lstate = self.lgru.step(e, ps, &es, &lstate);
+            }
+            let trend = zero_trend.as_ref().unwrap_or(&lstate);
+            let joined = e.concat_cols(&[&es, us, trend]);
+            let fused_pre = self.feafus.forward(e, ps, &joined);
+            let o = e.tanh(&fused_pre);
+            gstate = self.ggru.step(e, ps, &o, &gstate);
+            match (states, grid.as_mut()) {
+                (Some(fs), Some(grid)) => {
+                    let values = e.value(&o);
+                    for f in 0..nf {
                         for r in 0..size {
                             let present = mask[(r, f)] > 0.5;
                             grid[r * t_steps * nf + t * nf + f] =
-                                fs.assign(f, values.row(r), present);
+                                fs.assign(f, values.row(f * size + r), present);
                         }
                     }
-                    _ => o_step.push(o),
                 }
-            }
-            if states.is_none() {
-                o_all.push(o_step);
+                _ => o_all.push(o),
             }
         }
 
         // FeaAgg: compress each final channel state and concatenate.
-        let compressed: Vec<E::V> = gstate
-            .iter()
-            .map(|h| {
-                let c_pre = self.agg.forward(e, ps, h);
-                e.tanh(&c_pre)
-            })
-            .collect();
-        let tilde_h = e.concat_cols(&compressed.iter().collect::<Vec<_>>());
+        let c_pre = self.agg.forward(e, ps, &gstate);
+        let compressed = e.tanh(&c_pre);
+        let parts = e.split_rows(&compressed, nf);
+        let tilde_h = e.concat_cols(&parts.iter().collect::<Vec<_>>());
         let logits = self.head.forward(e, ps, &tilde_h);
+        let h_final = e.split_rows(&gstate, nf);
 
         MflmTrace {
             logits,
             tilde_h,
             o: o_all,
             states: grid,
-            h_final: gstate,
+            h_final,
             attn_sum,
             attn_count,
             attn_per_step,
@@ -380,8 +365,7 @@ mod tests {
         assert_eq!(tape.value(trace.logits).shape(), (3, 1));
         assert_eq!(tape.value(trace.tilde_h).shape(), (3, 20 * cfg.d_agg));
         assert_eq!(trace.o.len(), 4);
-        assert_eq!(trace.o[0].len(), 20);
-        assert_eq!(tape.value(trace.o[0][0]).shape(), (3, cfg.d_fused));
+        assert_eq!(tape.value(trace.o[0]).shape(), (20 * 3, cfg.d_fused));
         assert_eq!(trace.h_final.len(), 20);
         assert_eq!(tape.value(trace.h_final[0]).shape(), (3, cfg.d_hidden));
         assert_eq!(trace.attn_sum.shape(), (20, 20));
@@ -418,10 +402,8 @@ mod tests {
         let batch = make_batch(&prep, &[0, 1, 2, 3]);
         let mut tape = Tape::new();
         let trace = mflm.forward(&mut tape, &ps, &batch.steps, &batch.mask, None, false);
-        for o_step in &trace.o {
-            for &o in o_step {
-                assert!(tape.value(o).as_slice().iter().all(|&v| v.abs() <= 1.0));
-            }
+        for &o in &trace.o {
+            assert!(tape.value(o).as_slice().iter().all(|&v| v.abs() <= 1.0));
         }
     }
 

@@ -100,7 +100,8 @@ pub struct FleetApp {
     pub(crate) model: RwLock<Arc<ModelState>>,
     pub(crate) engine_cfg: EngineConfig,
     pub(crate) router_metrics: Arc<Metrics>,
-    /// First [`CANARY_CAP`] score requests seen, for reload verification.
+    /// First [`CANARY_CAP`] score requests that scored, for reload
+    /// verification.
     pub(crate) canaries: Mutex<Vec<ScoreRequest>>,
     /// Serializes reloads; `try_lock` failure answers `409`.
     pub(crate) reload_lock: Mutex<()>,
@@ -114,7 +115,10 @@ impl FleetApp {
         Arc::clone(&self.model.read().expect("fleet model poisoned"))
     }
 
-    fn capture_canaries(&self, reqs: &[ScoreRequest]) {
+    /// Keeps the first [`CANARY_CAP`] requests that scored: a row the
+    /// engine rejected (say, a wrong-length `x`) would fail every later
+    /// reload's canary run instead of checking the candidate model.
+    fn capture_canaries<'a>(&self, reqs: impl Iterator<Item = &'a ScoreRequest>) {
         let mut c = self.canaries.lock().expect("fleet canaries poisoned");
         for r in reqs {
             if c.len() >= CANARY_CAP {
@@ -157,7 +161,6 @@ impl FleetApp {
             Ok(reqs) => reqs,
             Err(why) => return AppResponse::json(400, error_body(&why)),
         };
-        self.capture_canaries(&reqs);
         self.maybe_chaos_kill();
         let key = patient_key(&req.body);
         let n = self.pool.replicas().len();
@@ -181,6 +184,8 @@ impl FleetApp {
                     last_err = Some(EngineError::ShuttingDown);
                 }
                 Ok(rows) => {
+                    let scored = reqs.iter().zip(&rows).filter(|(_, row)| row.is_ok());
+                    self.capture_canaries(scored.map(|(r, _)| r));
                     replica.note_result(true);
                     replica.note_served();
                     // Stage attribution: which replica actually served (a

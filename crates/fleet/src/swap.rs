@@ -10,8 +10,10 @@
 //! 3. **Verify.** [`cohortnet::snapshot::load_snapshot`] re-derives every
 //!    section checksum; any mismatch is a typed `422` and the old model
 //!    keeps serving.
-//! 4. **Canary.** Score the canary set (first requests captured from live
-//!    traffic) through the candidate scorer via the *same* row-extraction
+//! 4. **Canary.** Check that every canary (one of the first requests that
+//!    scored on live traffic) fits the candidate's `T x F` shape — a
+//!    typed `422` if not — then score the canary set through the
+//!    candidate scorer via the *same* row-extraction
 //!    and JSON-rendering path the engines use. Out-of-range or non-finite
 //!    probabilities reject the artifact. With `require_identical: true`
 //!    the rendered canary bytes must equal the live model's — the
@@ -83,6 +85,22 @@ impl FleetApp {
             .lock()
             .expect("fleet canaries poisoned")
             .clone();
+        let inf = scorer.inferencer();
+        let (t_steps, nf) = (inf.time_steps(), inf.n_features());
+        if let Some((i, bad)) = canaries
+            .iter()
+            .enumerate()
+            .find(|(_, c)| c.x.len() != t_steps * nf || c.mask.len() != nf)
+        {
+            let why = format!(
+                "canary shape mismatch: canary {i} has {} values and {} mask entries, \
+                 the snapshot expects T*F = {} and F = {nf}",
+                bad.x.len(),
+                bad.mask.len(),
+                t_steps * nf
+            );
+            return (422, error_body(&why));
+        }
         if !canaries.is_empty() {
             let rows = render_rows(&scorer, &canaries);
             for row in &rows {

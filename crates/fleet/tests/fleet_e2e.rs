@@ -6,9 +6,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 use cohortnet::infer::ScoreRequest;
-use cohortnet::snapshot::{fnv64, load_snapshot, save_snapshot_quant};
+use cohortnet::snapshot::{fnv64, load_snapshot, save_snapshot, save_snapshot_quant};
 use cohortnet_chaos::{install, ChaosPlan, When};
 use cohortnet_fleet::{serve_fleet, DispatchPolicy, FleetConfig};
 use cohortnet_serve::demo::{demo_bundle, DemoBundle};
@@ -30,6 +31,10 @@ fn bundle() -> &'static DemoBundle {
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    // A handler that never answers fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set read timeout");
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
@@ -313,6 +318,79 @@ fn hot_swap_reload_identical_quant_and_corrupt() {
     for p in [same_path, corrupt_path, quant_path] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn malformed_score_is_not_kept_as_a_canary() {
+    let _s = serial();
+    let b = bundle();
+    let fleet = serve_fleet(&b.snapshot, fleet_config(2, DispatchPolicy::LeastLoaded))
+        .expect("fleet starts");
+    let addr = fleet.addr();
+
+    // An instance one value short is rejected by the engine.
+    let mut bad = b.examples[0].clone();
+    bad.x.pop();
+    let (status, resp) = request(addr, "POST", "/score", &score_body(&[bad], None));
+    assert_eq!(status, 400, "{resp}");
+    let body = score_body(&b.examples, None);
+    let (status, want) = request(addr, "POST", "/score", &body);
+    assert_eq!(status, 200, "{want}");
+
+    // Reloading the same artifact checks only the rows that scored, and a
+    // second reload finds the reload lock free.
+    let path = scratch_path("canary_same.cns");
+    std::fs::write(&path, &b.snapshot).expect("write snapshot");
+    let reload = format!(
+        "{{\"path\":\"{}\",\"require_identical\":true}}",
+        path.display()
+    );
+    for _ in 0..2 {
+        let (status, resp) = request(addr, "POST", "/admin/reload", &reload);
+        assert_eq!(status, 200, "{resp}");
+    }
+    let (status, got) = request(addr, "POST", "/score", &body);
+    assert_eq!(status, 200);
+    assert_eq!(got, want, "identical reloads must not change scores");
+
+    fleet.shutdown();
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn reload_to_a_different_grid_is_a_typed_422() {
+    let _s = serial();
+    let b = bundle();
+    let fleet = serve_fleet(&b.snapshot, fleet_config(2, DispatchPolicy::LeastLoaded))
+        .expect("fleet starts");
+    let addr = fleet.addr();
+    let body = score_body(&b.examples, None);
+    let (status, want) = request(addr, "POST", "/score", &body);
+    assert_eq!(status, 200, "{want}");
+
+    // The same model saved for a longer grid: the captured canaries no
+    // longer fit it.
+    let lm = load_snapshot(&b.snapshot).expect("snapshot loads");
+    let longer = save_snapshot(&lm.model, &lm.params, &lm.scaler, lm.time_steps + 2);
+    let path = scratch_path("longer.cns");
+    std::fs::write(&path, &longer).expect("write snapshot");
+    let reload = format!("{{\"path\":\"{}\"}}", path.display());
+    let (status, resp) = request(addr, "POST", "/admin/reload", &reload);
+    assert_eq!(status, 422, "{resp}");
+    assert!(resp.contains("canary shape mismatch"), "{resp}");
+
+    // The old model keeps serving, byte for byte, and reloads still work.
+    let (status, got) = request(addr, "POST", "/score", &body);
+    assert_eq!(status, 200);
+    assert_eq!(
+        got, want,
+        "a rejected reload must leave the old model serving"
+    );
+    let (status, resp) = request(addr, "POST", "/admin/reload", &reload);
+    assert_eq!(status, 422, "the reload lock must be free again: {resp}");
+
+    fleet.shutdown();
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]

@@ -68,12 +68,46 @@ pub fn gemm_threads() -> usize {
     GEMM_THREADS.load(Ordering::Relaxed)
 }
 
+/// A borrowed row-major matrix: `rows x cols` floats, row `r` at
+/// `data[r * cols..]`. Lets a product run over a row range of a larger
+/// matrix (one row group of a feature-stacked value) without copying it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct View<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> View<'a> {
+    /// Rows `[start, end)` of `m`.
+    pub(crate) fn rows(m: &'a Matrix, start: usize, end: usize) -> View<'a> {
+        assert!(start <= end && end <= m.rows(), "row range out of bounds");
+        let cols = m.cols();
+        View {
+            data: &m.as_slice()[start * cols..end * cols],
+            rows: end - start,
+            cols,
+        }
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+}
+
+impl<'a> From<&'a Matrix> for View<'a> {
+    fn from(m: &'a Matrix) -> View<'a> {
+        View::rows(m, 0, m.rows())
+    }
+}
+
 #[inline]
-fn op_shape(m: &Matrix, transposed: bool) -> (usize, usize) {
+fn op_shape(m: View, transposed: bool) -> (usize, usize) {
     if transposed {
-        (m.cols(), m.rows())
+        (m.cols, m.rows)
     } else {
-        (m.rows(), m.cols())
+        (m.rows, m.cols)
     }
 }
 
@@ -86,13 +120,7 @@ fn op_shape(m: &Matrix, transposed: bool) -> (usize, usize) {
 /// # Panics
 /// Panics on inner-dimension or output-shape mismatch.
 pub fn gemm_into(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix, accumulate: bool) {
-    let (m, ka) = op_shape(a, ta);
-    let (kb, n) = op_shape(b, tb);
-    assert_eq!(
-        ka, kb,
-        "matmul shape mismatch: op(A) is {}x{}, op(B) is {}x{}",
-        m, ka, kb, n
-    );
+    let (m, n) = (op_shape(a.into(), ta).0, op_shape(b.into(), tb).1);
     assert_eq!(
         out.shape(),
         (m, n),
@@ -102,8 +130,22 @@ pub fn gemm_into(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix, a
         out.rows(),
         out.cols()
     );
+    gemm_view(ta, tb, a.into(), b.into(), out.as_mut_slice(), accumulate);
+}
+
+/// [`gemm_into`] over borrowed operands: `out` is the row-major
+/// `op(A).rows x op(B).cols` output.
+pub(crate) fn gemm_view(ta: bool, tb: bool, a: View, b: View, out: &mut [f32], accumulate: bool) {
+    let (m, ka) = op_shape(a, ta);
+    let (kb, n) = op_shape(b, tb);
+    assert_eq!(
+        ka, kb,
+        "matmul shape mismatch: op(A) is {}x{}, op(B) is {}x{}",
+        m, ka, kb, n
+    );
+    assert_eq!(out.len(), m * n, "gemm output size mismatch");
     if !accumulate {
-        out.fill_zero();
+        out.fill(0.0);
     }
     if m == 0 || n == 0 || ka == 0 {
         return;
@@ -111,7 +153,7 @@ pub fn gemm_into(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix, a
 
     let work = m * n * ka;
     if work < PACK_MIN_WORK {
-        gemm_small(ta, tb, a, b, out);
+        gemm_small(ta, tb, a, b, out, n);
         return;
     }
 
@@ -129,17 +171,14 @@ pub fn gemm_into(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix, a
 
     let row_chunk = ROW_BLOCK * n;
     if threads <= 1 {
-        for (block, chunk) in out.as_mut_slice().chunks_mut(row_chunk).enumerate() {
+        for (block, chunk) in out.chunks_mut(row_chunk).enumerate() {
             gemm_row_block(ta, a, &packed_b, chunk, block * ROW_BLOCK, n, ka, spec);
         }
     } else {
         let packed_b = &packed_b;
-        cohortnet_parallel::par_chunks_mut(
-            threads,
-            out.as_mut_slice(),
-            row_chunk,
-            |block, chunk| gemm_row_block(ta, a, packed_b, chunk, block * ROW_BLOCK, n, ka, spec),
-        );
+        cohortnet_parallel::par_chunks_mut(threads, out, row_chunk, |block, chunk| {
+            gemm_row_block(ta, a, packed_b, chunk, block * ROW_BLOCK, n, ka, spec)
+        });
     }
 }
 
@@ -150,7 +189,7 @@ pub fn gemm_into(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix, a
 /// stride. The width comes from the active backend's [`GemmSpec`]; packing
 /// layout never affects the per-element chains, so backends with different
 /// widths remain bit-identical.
-fn pack_b(b: &Matrix, tb: bool, k_dim: usize, n: usize, panel_nr: usize) -> Vec<f32> {
+fn pack_b(b: View, tb: bool, k_dim: usize, n: usize, panel_nr: usize) -> Vec<f32> {
     let panels = n.div_ceil(panel_nr);
     let mut packed = vec![0.0f32; panels * k_dim * panel_nr];
     for p in 0..panels {
@@ -181,7 +220,7 @@ fn pack_b(b: &Matrix, tb: bool, k_dim: usize, n: usize, panel_nr: usize) -> Vec<
 #[allow(clippy::too_many_arguments)]
 fn gemm_row_block(
     ta: bool,
-    a: &Matrix,
+    a: View,
     packed_b: &[f32],
     chunk: &mut [f32],
     i0: usize,
@@ -218,7 +257,7 @@ fn gemm_row_block(
 
 /// Packs `mr` rows of `op(A)` starting at row `i0` into a K-major MR-wide
 /// tile (`tile[k*MR + i] = op(A)[i0+i][k]`), zero-padding unused rows.
-fn pack_a_strip(a: &Matrix, ta: bool, i0: usize, mr: usize, k_dim: usize, tile: &mut [f32]) {
+fn pack_a_strip(a: View, ta: bool, i0: usize, mr: usize, k_dim: usize, tile: &mut [f32]) {
     debug_assert!(tile.len() >= k_dim * MR);
     if ta {
         // op(A)[i][k] = A[k][i]: walk A rows (= k index) once each.
@@ -242,20 +281,16 @@ fn pack_a_strip(a: &Matrix, ta: bool, i0: usize, mr: usize, k_dim: usize, tile: 
 /// Unpacked path for small products: per-variant loop orders that keep the
 /// inner loop contiguous where possible. Accumulation order per element is
 /// identical to the packed path (increasing k, starting from the prior
-/// value), so the two paths are bit-identical.
-fn gemm_small(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k_dim) = op_shape(a, ta);
-    let n = op_shape(b, tb).1;
+/// value), so the two paths are bit-identical. `out` has `n` columns.
+fn gemm_small(ta: bool, tb: bool, a: View, b: View, out: &mut [f32], n: usize) {
+    let k_dim = op_shape(a, ta).1;
     match (ta, tb) {
         (false, false) => {
             // i-k-j: stream A row i and B row k. No `a_ik == 0.0` skip —
             // the branch costs more than the multiply on dense data and
             // breaks chain-identity with the packed path for signed zeros.
-            for i in 0..m {
-                let a_row = a.row(i);
-                let out_row = out.row_mut(i);
-                for (k, &a_ik) in a_row.iter().enumerate() {
-                    let b_row = b.row(k);
+            for (a_row, out_row) in a.data.chunks_exact(a.cols).zip(out.chunks_exact_mut(n)) {
+                for (&a_ik, b_row) in a_row.iter().zip(b.data.chunks_exact(n)) {
                     for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
                         *o += a_ik * b_kj;
                     }
@@ -265,12 +300,8 @@ fn gemm_small(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         (true, false) => {
             // Aᵀ·B, k-i-j: stream A row k (holding op(A) column k entries)
             // and B row k; k outer keeps every element's chain k-increasing.
-            for k in 0..k_dim {
-                let a_row = a.row(k);
-                let b_row = b.row(k);
-                for i in 0..m {
-                    let a_ik = a_row[i];
-                    let out_row = out.row_mut(i);
+            for (a_row, b_row) in a.data.chunks_exact(a.cols).zip(b.data.chunks_exact(n)) {
+                for (out_row, &a_ik) in out.chunks_exact_mut(n).zip(a_row) {
                     for (o, &b_kj) in out_row.iter_mut().zip(b_row) {
                         *o += a_ik * b_kj;
                     }
@@ -279,11 +310,8 @@ fn gemm_small(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         }
         (false, true) => {
             // A·Bᵀ, i-j-k: each element is a dot of two contiguous rows.
-            for i in 0..m {
-                let a_row = a.row(i);
-                for j in 0..n {
-                    let b_row = b.row(j);
-                    let o = &mut out.row_mut(i)[j];
+            for (a_row, out_row) in a.data.chunks_exact(a.cols).zip(out.chunks_exact_mut(n)) {
+                for (o, b_row) in out_row.iter_mut().zip(b.data.chunks_exact(b.cols)) {
                     let mut s = *o;
                     for (&x, &y) in a_row.iter().zip(b_row) {
                         s += x * y;
@@ -294,10 +322,9 @@ fn gemm_small(ta: bool, tb: bool, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         }
         (true, true) => {
             // Aᵀ·Bᵀ: rare (completeness only) — direct indexing.
-            for i in 0..m {
-                for j in 0..n {
+            for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+                for (j, o) in out_row.iter_mut().enumerate() {
                     let b_row = b.row(j);
-                    let o = &mut out.row_mut(i)[j];
                     let mut s = *o;
                     for k in 0..k_dim {
                         s += a.row(k)[i] * b_row[k];
@@ -316,8 +343,8 @@ mod tests {
 
     /// Branch-free naive reference: the chain every path must match exactly.
     fn naive(ta: bool, tb: bool, a: &Matrix, b: &Matrix, init: Option<&Matrix>) -> Matrix {
-        let (m, k_dim) = op_shape(a, ta);
-        let (_, n) = op_shape(b, tb);
+        let (m, k_dim) = op_shape(a.into(), ta);
+        let (_, n) = op_shape(b.into(), tb);
         let mut out = match init {
             Some(c) => c.clone(),
             None => Matrix::zeros(m, n),

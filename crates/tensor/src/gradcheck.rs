@@ -67,6 +67,7 @@ pub fn constant(t: &mut Tape, rows: usize, cols: usize, data: &[f32]) -> Var {
 mod tests {
     use super::*;
     use crate::nn::{Activation, GruCell, Linear, LstmCell, Mlp};
+    use crate::Exec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -216,20 +217,68 @@ mod tests {
 
     #[test]
     fn gradcheck_fil_attention() {
-        // The fused FIL attention op with every q, k and v on the parameter
-        // path, so all three input gradients are checked; the MSE target
-        // gives every u element its own upstream gradient.
+        // The fused FIL attention op over three stacked features with q, k
+        // and v on the parameter path, so all three input gradients are
+        // checked; the MSE target gives every u element its own upstream
+        // gradient.
         let mut ps = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(47);
-        let ids: Vec<ParamId> = (0..9)
-            .map(|i| ps.register(format!("p{i}"), crate::init::uniform(&mut rng, 2, 3, 0.8)))
+        let ids: Vec<ParamId> = (0..3)
+            .map(|i| ps.register(format!("p{i}"), crate::init::uniform(&mut rng, 6, 3, 0.8)))
             .collect();
         let err = max_grad_error(&mut ps, 1e-2, |t, ps| {
             let vars: Vec<Var> = ids.iter().map(|&id| t.param(ps, id)).collect();
-            let (us, _) = t.fil_attention(&vars[0..3], &vars[3..6], &vars[6..9], 0.6);
-            let u = t.concat_cols(&us);
-            let target = Matrix::from_fn(2, 9, |r, c| ((r * 4 + c) % 5) as f32 * 0.3 - 0.6);
+            let (u, _) = t.fil_attention(vars[0], vars[1], vars[2], 3, 0.6);
+            let target = Matrix::from_fn(6, 3, |r, c| ((r * 4 + c) % 5) as f32 * 0.3 - 0.6);
             t.mse(u, target)
+        });
+        assert!(err < TOL, "max grad err {err}");
+    }
+
+    #[test]
+    fn gradcheck_row_grouped_ops() {
+        // Row-grouped matmul_w (distinct weights, and one weight shared by
+        // two groups), add_bias and both gates over three groups of two
+        // rows, with the stacked input on the parameter path too, and the
+        // group split feeding the loss.
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(53);
+        let mut reg = |name: &str, rows: usize, cols: usize| {
+            ps.register(name, crate::init::uniform(&mut rng, rows, cols, 0.8))
+        };
+        let x = reg("x", 6, 3);
+        let y = reg("y", 6, 2);
+        let ws = [reg("w0", 3, 2), reg("w1", 3, 2)];
+        let bs = [reg("b0", 1, 2), reg("b1", 1, 2), reg("b2", 1, 2)];
+        let err = max_grad_error(&mut ps, 1e-2, |t, ps| {
+            let (xv, yv) = (t.param(ps, x), t.param(ps, y));
+            let xw = Exec::matmul_w(t, ps, &xv, &[ws[0], ws[1], ws[0]]);
+            let biased = Exec::add_bias(t, ps, &xw, &bs);
+            let z = Exec::gate_sigmoid(t, ps, &biased, &yv, &bs);
+            let c = Exec::gate_tanh(t, ps, &yv, &z, &[bs[2], bs[0], bs[1]]);
+            let parts = t.split_rows(c, 3);
+            let joined = t.concat_cols(&parts);
+            let target = Matrix::from_fn(2, 6, |r, c| ((r * 5 + c) % 7) as f32 * 0.2 - 0.6);
+            t.mse(joined, target)
+        });
+        assert!(err < TOL, "max grad err {err}");
+    }
+
+    #[test]
+    fn gradcheck_stacked_gru_two_steps() {
+        let mut ps = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(59);
+        let cells: Vec<GruCell> = (0..2)
+            .map(|g| GruCell::new(&mut ps, &mut rng, &format!("g{g}"), 2, 3))
+            .collect();
+        let cell = GruCell::stack(&cells);
+        let err = max_grad_error(&mut ps, 1e-2, |t, ps| {
+            let h0 = cell.init_state(t, 4);
+            let x1 = constant(t, 4, 2, &[0.3, -0.1, 0.6, 0.2, -0.5, 0.4, 0.1, 0.7]);
+            let x2 = constant(t, 4, 2, &[-0.4, 0.5, 0.1, -0.2, 0.8, -0.3, 0.2, 0.6]);
+            let h1 = cell.step(t, ps, &x1, &h0);
+            let h2 = cell.step(t, ps, &x2, &h1);
+            t.mse(h2, Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.1 - 0.2))
         });
         assert!(err < TOL, "max grad err {err}");
     }

@@ -14,10 +14,15 @@ use crate::tape::{Tape, Var};
 use rand::rngs::StdRng;
 
 /// Fully connected layer `y = x W + b`.
+///
+/// [`Linear::tile`] applies one layer to every row group of a stacked value
+/// (see [`crate::exec`]): it holds the layer's ids once per group.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    w: ParamId,
-    b: Option<ParamId>,
+    /// The weight id, once per row group.
+    w: Vec<ParamId>,
+    /// The bias id, once per row group.
+    b: Option<Vec<ParamId>>,
     /// Input width.
     pub in_dim: usize,
     /// Output width.
@@ -39,8 +44,8 @@ impl Linear {
         );
         let b = ps.register(format!("{name}.b"), init::zeros(1, out_dim));
         Linear {
-            w,
-            b: Some(b),
+            w: vec![w],
+            b: Some(vec![b]),
             in_dim,
             out_dim,
         }
@@ -62,17 +67,29 @@ impl Linear {
             init::xavier_uniform(rng, in_dim, out_dim),
         );
         Linear {
-            w,
+            w: vec![w],
             b: None,
             in_dim,
             out_dim,
         }
     }
 
-    /// Applies the layer to a `(batch x in_dim)` value.
+    /// The same layer applied to each of `groups` equal row groups of its
+    /// input: a `(groups·B x in_dim)` value maps to `(groups·B x out_dim)`,
+    /// each group's rows through the same weights.
+    pub fn tile(&self, groups: usize) -> Linear {
+        Linear {
+            w: vec![self.weight(); groups],
+            b: self.bias().map(|b| vec![b; groups]),
+            ..*self
+        }
+    }
+
+    /// Applies the layer to a `(batch x in_dim)` value (`(groups·B x
+    /// in_dim)` for a tiled layer).
     pub fn forward<E: Exec>(&self, e: &mut E, ps: &E::Params, x: &E::V) -> E::V {
-        let xw = e.matmul_w(ps, x, self.w);
-        match self.b {
+        let xw = e.matmul_w(ps, x, &self.w);
+        match &self.b {
             Some(b) => e.add_bias(ps, &xw, b),
             None => xw,
         }
@@ -81,12 +98,12 @@ impl Linear {
     /// The weight parameter handle (for introspection, e.g. calibration
     /// decomposition in CohortNet's CEM).
     pub fn weight(&self) -> ParamId {
-        self.w
+        self.w[0]
     }
 
     /// The bias parameter handle, `None` for bias-free layers.
     pub fn bias(&self) -> Option<ParamId> {
-        self.b
+        self.b.as_ref().map(|b| b[0])
     }
 }
 
@@ -174,35 +191,29 @@ impl Mlp {
 ///
 /// `z = σ(x Wz + h Uz + bz)`, `r = σ(x Wr + h Ur + br)`,
 /// `h̃ = tanh(x Wh + (r⊙h) Uh + bh)`, `h' = (1-z)⊙h + z⊙h̃`.
+///
+/// [`GruCell::stack`] runs several cells as one over a stacked input (see
+/// [`crate::exec`]): row group `g` of `x` and `h` goes through cell `g`'s
+/// weights, with the same ops — and bits — as one cell alone.
 #[derive(Debug, Clone)]
 pub struct GruCell {
-    wz: ParamId,
-    uz: ParamId,
-    bz: ParamId,
-    wr: ParamId,
-    ur: ParamId,
-    br: ParamId,
-    wh: ParamId,
-    uh: ParamId,
-    bh: ParamId,
+    /// Parameter ids in [`GRU_PARAMS`] order; `ids[p]` holds parameter `p`
+    /// of every row group (one group for a plain cell).
+    ids: [Vec<ParamId>; 9],
     /// Input width.
     pub in_dim: usize,
     /// Hidden width.
     pub hidden_dim: usize,
 }
 
+/// The GRU's parameter names, in registration order.
+const GRU_PARAMS: [&str; 9] = ["wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh"];
+
 impl GruCell {
-    /// The six weight matrices (biases excluded) with their gate names, in
-    /// gate order: `wz, uz, wr, ur, wh, uh`.
-    pub fn weights(&self) -> [(&'static str, ParamId); 6] {
-        [
-            ("wz", self.wz),
-            ("uz", self.uz),
-            ("wr", self.wr),
-            ("ur", self.ur),
-            ("wh", self.wh),
-            ("uh", self.uh),
-        ]
+    /// The six weight matrices (biases excluded) of row group `group` with
+    /// their gate names, in gate order: `wz, uz, wr, ur, wh, uh`.
+    pub fn weights(&self, group: usize) -> [(&'static str, ParamId); 6] {
+        [0, 1, 3, 4, 6, 7].map(|p| (GRU_PARAMS[p], self.ids[p][group]))
     }
 
     /// Registers a new GRU cell's parameters.
@@ -213,40 +224,45 @@ impl GruCell {
         in_dim: usize,
         hidden_dim: usize,
     ) -> Self {
+        let ids = GRU_PARAMS.map(|p| {
+            let value = if p.starts_with('w') {
+                init::xavier_uniform(rng, in_dim, hidden_dim)
+            } else if p.starts_with('u') {
+                init::recurrent(rng, hidden_dim, hidden_dim)
+            } else {
+                init::zeros(1, hidden_dim)
+            };
+            vec![ps.register(format!("{name}.{p}"), value)]
+        });
         GruCell {
-            wz: ps.register(
-                format!("{name}.wz"),
-                init::xavier_uniform(rng, in_dim, hidden_dim),
-            ),
-            uz: ps.register(
-                format!("{name}.uz"),
-                init::recurrent(rng, hidden_dim, hidden_dim),
-            ),
-            bz: ps.register(format!("{name}.bz"), init::zeros(1, hidden_dim)),
-            wr: ps.register(
-                format!("{name}.wr"),
-                init::xavier_uniform(rng, in_dim, hidden_dim),
-            ),
-            ur: ps.register(
-                format!("{name}.ur"),
-                init::recurrent(rng, hidden_dim, hidden_dim),
-            ),
-            br: ps.register(format!("{name}.br"), init::zeros(1, hidden_dim)),
-            wh: ps.register(
-                format!("{name}.wh"),
-                init::xavier_uniform(rng, in_dim, hidden_dim),
-            ),
-            uh: ps.register(
-                format!("{name}.uh"),
-                init::recurrent(rng, hidden_dim, hidden_dim),
-            ),
-            bh: ps.register(format!("{name}.bh"), init::zeros(1, hidden_dim)),
+            ids,
             in_dim,
             hidden_dim,
         }
     }
 
-    /// Creates the initial zero hidden state for a batch.
+    /// The cells run as one, cell `g` on row group `g` of a stacked input.
+    ///
+    /// # Panics
+    /// Panics if `cells` is empty or the cells differ in width.
+    pub fn stack(cells: &[GruCell]) -> GruCell {
+        let first = cells.first().expect("stack needs at least one cell");
+        for c in cells {
+            assert_eq!(
+                (c.in_dim, c.hidden_dim),
+                (first.in_dim, first.hidden_dim),
+                "stacked GRU cells differ in width"
+            );
+        }
+        GruCell {
+            ids: std::array::from_fn(|p| cells.iter().flat_map(|c| c.ids[p].clone()).collect()),
+            in_dim: first.in_dim,
+            hidden_dim: first.hidden_dim,
+        }
+    }
+
+    /// Creates the initial zero hidden state for `batch` rows (all row
+    /// groups together for a stacked cell).
     pub fn init_state<E: Exec>(&self, e: &mut E, batch: usize) -> E::V {
         e.constant(crate::matrix::Matrix::zeros(batch, self.hidden_dim))
     }
@@ -256,18 +272,19 @@ impl GruCell {
     /// Each gate is one fused op (`σ/tanh(xW + hU + b)`) and the state
     /// update is the fused blend `(1-z)⊙h + z⊙h̃`.
     pub fn step<E: Exec>(&self, e: &mut E, ps: &E::Params, x: &E::V, h: &E::V) -> E::V {
-        let zxw = e.matmul_w(ps, x, self.wz);
-        let zhu = e.matmul_w(ps, h, self.uz);
-        let z = e.gate_sigmoid(ps, &zxw, &zhu, self.bz);
-        let rxw = e.matmul_w(ps, x, self.wr);
-        let rhu = e.matmul_w(ps, h, self.ur);
-        let r = e.gate_sigmoid(ps, &rxw, &rhu, self.br);
+        let [wz, uz, bz, wr, ur, br, wh, uh, bh] = &self.ids;
+        let zxw = e.matmul_w(ps, x, wz);
+        let zhu = e.matmul_w(ps, h, uz);
+        let z = e.gate_sigmoid(ps, &zxw, &zhu, bz);
+        let rxw = e.matmul_w(ps, x, wr);
+        let rhu = e.matmul_w(ps, h, ur);
+        let r = e.gate_sigmoid(ps, &rxw, &rhu, br);
         let rh = e.mul(&r, h);
         // Note: the candidate path must not add `h Uh` twice — the recurrent
         // matmul below already uses `rh` as its input.
-        let cxw = e.matmul_w(ps, x, self.wh);
-        let chu = e.matmul_w(ps, &rh, self.uh);
-        let cand = e.gate_tanh(ps, &cxw, &chu, self.bh);
+        let cxw = e.matmul_w(ps, x, wh);
+        let chu = e.matmul_w(ps, &rh, uh);
+        let cand = e.gate_tanh(ps, &cxw, &chu, bh);
         e.gru_blend(&z, h, &cand)
     }
 

@@ -146,15 +146,25 @@ impl QuantMatrix {
 pub fn qgemm(x: &Matrix, w: &QuantMatrix, out: &mut Matrix) {
     assert_eq!(x.cols(), w.k, "qgemm inner dimension mismatch");
     assert_eq!(out.shape(), (x.rows(), w.n), "qgemm output shape mismatch");
-    let mut qrow = vec![0i8; w.k];
-    for r in 0..x.rows() {
-        let sx = quantize_slice(x.row(r), &mut qrow);
-        let out_row = out.row_mut(r);
+    qgemm_rows(x.as_slice(), w, out.as_mut_slice(), &mut vec![0i8; w.k]);
+}
+
+/// [`qgemm`] over row-major slices: `x` holds whole `w.k()`-wide rows and
+/// `out` the matching `w.n()`-wide rows; `qrow` is `w.k()` bytes of
+/// scratch. Each row is quantized on its own, so a row's output does not
+/// depend on the rows around it.
+pub(crate) fn qgemm_rows(x: &[f32], w: &QuantMatrix, out: &mut [f32], qrow: &mut [i8]) {
+    let rows = x.len() / w.k.max(1);
+    assert_eq!(x.len(), rows * w.k, "qgemm input is not whole rows");
+    assert_eq!(out.len(), rows * w.n, "qgemm output size mismatch");
+    for r in 0..rows {
+        let sx = quantize_slice(&x[r * w.k..(r + 1) * w.k], qrow);
+        let out_row = &mut out[r * w.n..(r + 1) * w.n];
         if sx == 0.0 {
             out_row.fill(0.0);
             continue;
         }
-        score_row(&qrow, w, sx, out_row);
+        score_row(qrow, w, sx, out_row);
     }
 }
 

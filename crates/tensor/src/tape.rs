@@ -12,7 +12,7 @@
 //!
 //! ## Buffer arena
 //!
-//! A tape owns a free-list of `f32` buffers recycled across training steps:
+//! A tape owns free-lists of `f32` buffers recycled across training steps:
 //! call [`Tape::reset`] instead of constructing a fresh tape each minibatch
 //! and every node value/gradient allocated by the previous step is reused.
 //! One epoch then settles into a steady state with essentially zero allocator
@@ -20,23 +20,54 @@
 //! this workspace trains (thousands of tiny nodes per batch).
 
 use crate::exec::kernels;
+use crate::gemm::{gemm_view, View};
 use crate::matrix::Matrix;
 use crate::param::{ParamId, ParamStore};
+use std::collections::BTreeMap;
 
-/// Which activation a fused gate applies (see [`Tape::gate_sigmoid`] /
-/// [`Tape::gate_tanh`]). Both derivatives are computable from the output
-/// value alone, which is what makes the fusion cheap in backward too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GateKind {
-    Sigmoid,
-    Tanh,
+/// The buffer arena: recycled buffers keyed by capacity. A request for `n`
+/// floats reuses a free buffer of capacity exactly `n`, else allocates one,
+/// so a step that repeats the previous step's shapes allocates nothing and
+/// no buffer holds a value much smaller than itself. (With one free-list
+/// for all sizes, the many small parameter leaves inherited the capacity of
+/// large feature-stacked values and the tape's memory grew by half.)
+/// [`Arena::trim`] keeps, per size, only as many buffers as the last step
+/// asked for, so sizes nobody requests (constants, say) cannot pile up.
+#[derive(Default)]
+struct Arena {
+    free: BTreeMap<usize, Vec<Vec<f32>>>,
+    /// Requests per size since the last trim.
+    demand: BTreeMap<usize, usize>,
 }
 
-/// Pops a recycled buffer (emptied, capacity retained) or a fresh one.
-fn pop_buf(pool: &mut Vec<Vec<f32>>) -> Vec<f32> {
-    let mut buf = pool.pop().unwrap_or_default();
-    buf.clear();
-    buf
+impl Arena {
+    /// An empty buffer with capacity for `n` floats.
+    fn grab(&mut self, n: usize) -> Vec<f32> {
+        *self.demand.entry(n).or_default() += 1;
+        match self.free.get_mut(&n).and_then(Vec::pop) {
+            Some(mut buf) => {
+                buf.clear();
+                buf
+            }
+            None => Vec::with_capacity(n),
+        }
+    }
+
+    /// Returns a buffer for reuse.
+    fn put(&mut self, buf: Vec<f32>) {
+        if buf.capacity() > 0 {
+            self.free.entry(buf.capacity()).or_default().push(buf);
+        }
+    }
+
+    /// Frees the buffers beyond the last step's demand for their size.
+    fn trim(&mut self) {
+        let demand = std::mem::take(&mut self.demand);
+        self.free.retain(|size, bufs| {
+            bufs.truncate(demand.get(size).copied().unwrap_or(0));
+            !bufs.is_empty()
+        });
+    }
 }
 
 /// Handle to a node on a [`Tape`].
@@ -50,10 +81,22 @@ enum Op {
     Leaf,
     /// Parameter leaf; gradient is flushed to the store.
     Param(ParamId),
-    MatMul(Var, Var),
+    /// Row-grouped `a · b_g`: `a` holds `groups` equal row groups and group
+    /// `g` is multiplied by node `b + g` (the right operands are consecutive
+    /// nodes — one param leaf per group for weights). One group is `a · b`.
+    MatMul {
+        a: Var,
+        b: Var,
+        groups: usize,
+    },
     Add(Var, Var),
-    /// `(r x c) + (1 x c)` — bias addition.
-    AddRowBroadcast(Var, Var),
+    /// Row-grouped `(r x c) + (1 x c)` bias addition, bias rows at nodes
+    /// `bias .. bias + groups`.
+    AddRowBroadcast {
+        a: Var,
+        bias: Var,
+        groups: usize,
+    },
     Sub(Var, Var),
     Mul(Var, Var),
     /// `(r x c) * (r x 1)` — per-row scaling (attention weights).
@@ -70,26 +113,36 @@ enum Op {
     MeanAll(Var),
     ConcatCols(Vec<Var>),
     SliceCols(Var, usize),
+    /// Rows `[start, start + rows)` of a node, one part of
+    /// [`Tape::split_rows`].
+    SliceRows(Var, usize),
     /// Mean binary-cross-entropy over all elements, from logits.
     /// Stores targets (and optional per-element weights) as constants.
     BceWithLogits(Var, Matrix),
     /// Mean squared error against a constant target.
     Mse(Var, Matrix),
-    /// Fused gate: `act(a + b + bias)` with `bias` a `1 x c` row vector.
-    /// Collapses the add / add_row_broadcast / activation chain every
-    /// GRU/LSTM gate records into one node.
-    GateAct(Var, Var, Var, GateKind),
+    /// Fused gate: `act(a + b + bias_g)` (`tanh` when `tanh`, else `σ`),
+    /// row-grouped like [`Op::AddRowBroadcast`]. Collapses the add /
+    /// add_row_broadcast / activation chain every GRU/LSTM gate records into
+    /// one node. Both derivatives are computable from the output value
+    /// alone, which is what makes the fusion cheap in backward too.
+    GateAct {
+        a: Var,
+        b: Var,
+        bias: Var,
+        groups: usize,
+        tanh: bool,
+    },
     /// Fused GRU state blend: `(1-z) ⊙ h + z ⊙ cand`.
     GruBlend(Var, Var, Var),
-    /// `u_i` of one FIL attention call ([`Tape::fil_attention`]); the call's
-    /// operands are `Tape::fil_operands[operands..operands + 3 * nf]`
-    /// (every `q`, then every `k`, then every `v`), and `alpha` is the
-    /// constant node holding feature `query`'s attention row.
+    /// The stacked `u` of one FIL attention call ([`Tape::fil_attention`]);
+    /// `alpha` is the constant node holding the stacked attention rows.
     FilAttention {
-        operands: usize,
-        nf: usize,
-        query: usize,
+        q: Var,
+        k: Var,
+        v: Var,
         alpha: Var,
+        nf: usize,
         scale: f32,
     },
 }
@@ -103,10 +156,8 @@ struct Node {
 /// A single-pass computation graph.
 pub struct Tape {
     nodes: Vec<Node>,
-    /// Recycled `f32` buffers (the arena free-list); see the module docs.
-    pool: Vec<Vec<f32>>,
-    /// Operand lists of the [`Op::FilAttention`] nodes.
-    fil_operands: Vec<Var>,
+    /// Recycled `f32` buffers; see the module docs.
+    pool: Arena,
 }
 
 impl Default for Tape {
@@ -120,8 +171,7 @@ impl Tape {
     pub fn new() -> Self {
         Tape {
             nodes: Vec::with_capacity(1024),
-            pool: Vec::new(),
-            fil_operands: Vec::new(),
+            pool: Arena::default(),
         }
     }
 
@@ -138,25 +188,27 @@ impl Tape {
             }
         }
         self.nodes = nodes;
-        self.fil_operands.clear();
+        self.pool.trim();
     }
 
     /// Returns a value buffer to the arena.
     fn reclaim(&mut self, m: Matrix) {
-        let buf = m.into_vec();
-        if buf.capacity() > 0 {
-            self.pool.push(buf);
-        }
+        self.pool.put(m.into_vec());
     }
 
-    /// Pops a recycled buffer (emptied, capacity retained) or a fresh one.
-    fn grab(&mut self) -> Vec<f32> {
-        pop_buf(&mut self.pool)
+    /// An empty arena buffer for `n` floats.
+    fn grab(&mut self, n: usize) -> Vec<f32> {
+        self.pool.grab(n)
+    }
+
+    /// An empty arena buffer the size of `a`'s value.
+    fn grab_like(&mut self, a: Var) -> Vec<f32> {
+        self.grab(self.nodes[a.0].value.len())
     }
 
     /// An all-zero `rows x cols` matrix backed by the arena.
     fn alloc_zero(&mut self, rows: usize, cols: usize) -> Matrix {
-        let mut buf = self.grab();
+        let mut buf = self.grab(rows * cols);
         buf.resize(rows * cols, 0.0);
         Matrix::from_vec(rows, cols, buf)
     }
@@ -200,33 +252,49 @@ impl Tape {
 
     /// Records a parameter leaf by copying its current value from the store.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let mut buf = self.grab();
         let src = store.value(id);
+        let mut buf = self.grab(src.len());
         buf.extend_from_slice(src.as_slice());
         let v = Matrix::from_vec(src.rows(), src.cols(), buf);
         self.push(v, Op::Param(id))
+    }
+
+    /// Records one parameter leaf per id, as consecutive nodes, and returns
+    /// the first: the right operands of a row-grouped op. A weight shared by
+    /// several groups still gets one leaf per group, so each group's
+    /// gradient reaches the store as its own term, in group order.
+    pub(crate) fn params(&mut self, store: &ParamStore, ids: &[ParamId]) -> Var {
+        assert!(!ids.is_empty(), "a row-grouped op needs at least one group");
+        let first = Var(self.nodes.len());
+        for &id in ids {
+            self.param(store, id);
+        }
+        first
     }
 
     // ------------------------------------------------------------------ ops
 
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (m, n) = (self.nodes[a.0].value.rows(), self.nodes[b.0].value.cols());
-        let mut out = self.alloc_zero(m, n);
-        crate::gemm::gemm_into(
-            false,
-            false,
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-            &mut out,
-            true,
+        self.matmul_groups(a, b, 1)
+    }
+
+    /// Row-grouped product (see [`Op::MatMul`]).
+    pub(crate) fn matmul_groups(&mut self, a: Var, b: Var, groups: usize) -> Var {
+        let buf = self.grab(self.nodes[a.0].value.rows() * self.nodes[b.0].value.cols());
+        let nodes = &self.nodes;
+        let v = kernels::matmul_groups(
+            |_| buf,
+            &nodes[a.0].value,
+            groups,
+            |g| kernels::WeightRef::F32(&nodes[b.0 + g].value),
         );
-        self.push(out, Op::MatMul(a, b))
+        self.push(v, Op::MatMul { a, b, groups })
     }
 
     /// Element-wise sum of equally shaped nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let v = kernels::zip(buf, am, bm, |x, y| x + y);
         self.push(v, Op::Add(a, b))
@@ -234,15 +302,22 @@ impl Tape {
 
     /// `(r x c) + (1 x c)`: adds a row vector (bias) to every row.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let buf = self.grab();
-        let (am, bm) = (&self.nodes[a.0].value, &self.nodes[bias.0].value);
-        let v = kernels::add_row_broadcast(buf, am, bm);
-        self.push(v, Op::AddRowBroadcast(a, bias))
+        self.add_bias_groups(a, bias, 1)
+    }
+
+    /// Row-grouped bias addition (see [`Op::AddRowBroadcast`]).
+    pub(crate) fn add_bias_groups(&mut self, a: Var, bias: Var, groups: usize) -> Var {
+        let buf = self.grab_like(a);
+        let nodes = &self.nodes;
+        let v = kernels::add_row_broadcast(buf, &nodes[a.0].value, groups, |g| {
+            &nodes[bias.0 + g].value
+        });
+        self.push(v, Op::AddRowBroadcast { a, bias, groups })
     }
 
     /// Element-wise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let v = kernels::zip(buf, am, bm, |x, y| x - y);
         self.push(v, Op::Sub(a, b))
@@ -250,7 +325,7 @@ impl Tape {
 
     /// Element-wise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let (am, bm) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let v = kernels::zip(buf, am, bm, |x, y| x * y);
         self.push(v, Op::Mul(a, b))
@@ -259,7 +334,7 @@ impl Tape {
     /// `(r x c) * (r x 1)`: scales each row of `a` by the matching entry of
     /// the column vector `w` (e.g. per-sample attention weights).
     pub fn mul_col_broadcast(&mut self, a: Var, w: Var) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let (am, wm) = (&self.nodes[a.0].value, &self.nodes[w.0].value);
         let v = kernels::mul_col_broadcast(buf, am, wm);
         self.push(v, Op::MulColBroadcast(a, w))
@@ -267,14 +342,14 @@ impl Tape {
 
     /// Multiplication by a compile-time scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let v = kernels::map(buf, &self.nodes[a.0].value, |x| x * s);
         self.push(v, Op::Scale(a, s))
     }
 
     /// Addition of a compile-time scalar.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let v = kernels::map(buf, &self.nodes[a.0].value, |x| x + s);
         self.push(v, Op::AddScalar(a))
     }
@@ -293,21 +368,21 @@ impl Tape {
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let v = kernels::map(buf, &self.nodes[a.0].value, kernels::sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
     /// Element-wise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let v = kernels::map(buf, &self.nodes[a.0].value, f32::tanh);
         self.push(v, Op::Tanh(a))
     }
 
     /// Element-wise rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(a);
         let v = kernels::map(buf, &self.nodes[a.0].value, |x| x.max(0.0));
         self.push(v, Op::Relu(a))
     }
@@ -318,27 +393,41 @@ impl Tape {
     /// but records one node instead of three — the shape every GRU/LSTM gate
     /// takes (`x·W + h·U + b`).
     pub fn gate_sigmoid(&mut self, a: Var, b: Var, bias: Var) -> Var {
-        self.gate_act(a, b, bias, GateKind::Sigmoid)
+        self.gate_groups(a, b, bias, 1, false)
     }
 
     /// Fused tanh gate: `tanh(a + b + bias)` in one node (see
     /// [`Tape::gate_sigmoid`]).
     pub fn gate_tanh(&mut self, a: Var, b: Var, bias: Var) -> Var {
-        self.gate_act(a, b, bias, GateKind::Tanh)
+        self.gate_groups(a, b, bias, 1, true)
     }
 
-    fn gate_act(&mut self, a: Var, b: Var, bias: Var, kind: GateKind) -> Var {
-        let buf = self.grab();
-        let (am, bm, biasm) = (
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-            &self.nodes[bias.0].value,
-        );
-        let v = match kind {
-            GateKind::Sigmoid => kernels::gate(buf, am, bm, biasm, kernels::sigmoid),
-            GateKind::Tanh => kernels::gate(buf, am, bm, biasm, f32::tanh),
+    /// Row-grouped fused gate (see [`Op::GateAct`]).
+    pub(crate) fn gate_groups(
+        &mut self,
+        a: Var,
+        b: Var,
+        bias: Var,
+        groups: usize,
+        tanh: bool,
+    ) -> Var {
+        let buf = self.grab_like(a);
+        let nodes = &self.nodes;
+        let (am, bm) = (&nodes[a.0].value, &nodes[b.0].value);
+        let bias_g = |g: usize| &nodes[bias.0 + g].value;
+        let v = if tanh {
+            kernels::gate(buf, am, bm, groups, bias_g, f32::tanh)
+        } else {
+            kernels::gate(buf, am, bm, groups, bias_g, kernels::sigmoid)
         };
-        self.push(v, Op::GateAct(a, b, bias, kind))
+        let op = Op::GateAct {
+            a,
+            b,
+            bias,
+            groups,
+            tanh,
+        };
+        self.push(v, op)
     }
 
     /// Fused GRU state blend: `(1 - z) ⊙ h + z ⊙ cand` in one node.
@@ -346,7 +435,7 @@ impl Tape {
     /// Replaces the `one_minus` / `mul` / `mul` / `add` five-node chain at
     /// the end of every GRU step.
     pub fn gru_blend(&mut self, z: Var, h: Var, cand: Var) -> Var {
-        let buf = self.grab();
+        let buf = self.grab_like(z);
         let (zm, hm, cm) = (
             &self.nodes[z.0].value,
             &self.nodes[h.0].value,
@@ -356,42 +445,43 @@ impl Tape {
         self.push(v, Op::GruBlend(z, h, cand))
     }
 
-    /// The FIL attention core (see [`crate::Exec::fil_attention`]).
+    /// The FIL attention core over `nf` stacked features (see
+    /// [`crate::Exec::fil_attention`]).
     ///
-    /// Records feature `i`'s attention row `α_i` as a constant and `u_i` as
-    /// one node with a hand-written backward that reproduces, bit for bit,
-    /// the gradient of the composed op chain the kernel replaced.
-    pub fn fil_attention(
-        &mut self,
-        q: &[Var],
-        k: &[Var],
-        v: &[Var],
-        scale: f32,
-    ) -> (Vec<Var>, Vec<Var>) {
-        let (us, alphas) = {
+    /// Records the stacked attention rows `α` as a constant and the stacked
+    /// `u` as one node with a hand-written backward that reproduces, bit for
+    /// bit, the gradient of the composed op chain the kernel replaced.
+    pub fn fil_attention(&mut self, q: Var, k: Var, v: Var, nf: usize, scale: f32) -> (Var, Var) {
+        let (u, alpha) = {
             let (nodes, pool) = (&self.nodes, &mut self.pool);
-            let values =
-                |vars: &[Var]| -> Vec<&Matrix> { vars.iter().map(|v| &nodes[v.0].value).collect() };
-            kernels::fil_attention(&values(q), &values(k), &values(v), scale, |_| pop_buf(pool))
+            let (qm, km, vm) = (&nodes[q.0].value, &nodes[k.0].value, &nodes[v.0].value);
+            kernels::fil_attention(qm, km, vm, nf, scale, |n| pool.grab(n))
         };
-        let operands = self.fil_operands.len();
-        self.fil_operands.extend(q.iter().chain(k).chain(v));
-        let nf = q.len();
-        let mut u_vars = Vec::with_capacity(nf);
-        let mut alpha_vars = Vec::with_capacity(nf);
-        for (query, (u, alpha)) in us.into_iter().zip(alphas).enumerate() {
-            let alpha = self.push(alpha, Op::Leaf);
-            let op = Op::FilAttention {
-                operands,
-                nf,
-                query,
-                alpha,
-                scale,
-            };
-            u_vars.push(self.push(u, op));
-            alpha_vars.push(alpha);
-        }
-        (u_vars, alpha_vars)
+        let alpha = self.push(alpha, Op::Leaf);
+        let op = Op::FilAttention {
+            q,
+            k,
+            v,
+            alpha,
+            nf,
+            scale,
+        };
+        (self.push(u, op), alpha)
+    }
+
+    /// Splits a node of `groups` equal row groups into one node per group.
+    pub fn split_rows(&mut self, a: Var, groups: usize) -> Vec<Var> {
+        let rows = kernels::group_rows(self.nodes[a.0].value.rows(), groups);
+        (0..groups)
+            .map(|g| {
+                let cols = self.nodes[a.0].value.cols();
+                let mut buf = self.grab(rows * cols);
+                let src = &self.nodes[a.0].value.as_slice()[g * rows * cols..(g + 1) * rows * cols];
+                buf.extend_from_slice(src);
+                let v = Matrix::from_vec(rows, cols, buf);
+                self.push(v, Op::SliceRows(a, g * rows))
+            })
+            .collect()
     }
 
     /// Row-wise softmax.
@@ -515,24 +605,53 @@ impl Tape {
     fn propagate(&mut self, op: &Op, out: &Matrix, g: &Matrix) {
         match op {
             Op::Leaf | Op::Param(_) => {}
-            Op::MatMul(a, b) => {
-                // dA += g · Bᵀ ; dB += Aᵀ · g — transpose-fused GEMM, no
-                // transposed copies and no gradient temporaries.
-                let mut ga = self.take_grad(*a);
-                crate::gemm::gemm_into(false, true, g, &self.nodes[b.0].value, &mut ga, true);
+            &Op::MatMul { a, b, groups } => {
+                // Per group: dA_g += g_g · B_gᵀ ; dB_g += A_gᵀ · g_g —
+                // transpose-fused GEMM, no transposed copies and no
+                // gradient temporaries.
+                let rows = g.rows() / groups;
+                let mut ga = self.take_grad(a);
+                let width = ga.cols();
+                for grp in 0..groups {
+                    let (r0, r1) = (grp * rows, (grp + 1) * rows);
+                    let bg = &self.nodes[b.0 + grp].value;
+                    let dst = &mut ga.as_mut_slice()[r0 * width..r1 * width];
+                    gemm_view(false, true, View::rows(g, r0, r1), bg.into(), dst, true);
+                }
                 self.nodes[a.0].grad = Some(ga);
-                let mut gb = self.take_grad(*b);
-                crate::gemm::gemm_into(true, false, &self.nodes[a.0].value, g, &mut gb, true);
-                self.nodes[b.0].grad = Some(gb);
+                for grp in 0..groups {
+                    let (r0, r1) = (grp * rows, (grp + 1) * rows);
+                    let bg = Var(b.0 + grp);
+                    let mut gb = self.take_grad(bg);
+                    let a_rows = View::rows(&self.nodes[a.0].value, r0, r1);
+                    gemm_view(
+                        true,
+                        false,
+                        a_rows,
+                        View::rows(g, r0, r1),
+                        gb.as_mut_slice(),
+                        true,
+                    );
+                    self.nodes[bg.0].grad = Some(gb);
+                }
             }
             Op::Add(a, b) => {
                 self.grad_buf(*a).add_assign(g);
                 self.grad_buf(*b).add_assign(g);
             }
-            Op::AddRowBroadcast(a, bias) => {
-                self.grad_buf(*a).add_assign(g);
-                let db = g.sum_rows();
-                self.grad_buf(*bias).add_assign(&db);
+            &Op::AddRowBroadcast { a, bias, groups } => {
+                self.grad_buf(a).add_assign(g);
+                let rows = g.rows() / groups;
+                for grp in 0..groups {
+                    let mut db = self.alloc_zero(1, g.cols());
+                    for r in grp * rows..(grp + 1) * rows {
+                        for (o, &x) in db.as_mut_slice().iter_mut().zip(g.row(r)) {
+                            *o += x;
+                        }
+                    }
+                    self.grad_buf(Var(bias.0 + grp)).add_assign(&db);
+                    self.reclaim(db);
+                }
             }
             Op::Sub(a, b) => {
                 self.grad_buf(*a).add_assign(g);
@@ -673,6 +792,14 @@ impl Tape {
                     offset += w;
                 }
             }
+            Op::SliceRows(a, start) => {
+                let cols = g.cols();
+                let buf = self.grad_buf(*a);
+                let dst = &mut buf.as_mut_slice()[start * cols..start * cols + g.len()];
+                for (o, &x) in dst.iter_mut().zip(g.as_slice()) {
+                    *o += x;
+                }
+            }
             Op::SliceCols(a, start) => {
                 let (r, _) = g.shape();
                 let buf = self.grad_buf(*a);
@@ -699,16 +826,25 @@ impl Tape {
                 let dp = p.zip(targets, |a, b| (a - b) * s);
                 self.grad_buf(*pred).add_assign(&dp);
             }
-            Op::GateAct(a, b, bias, kind) => {
+            &Op::GateAct {
+                a,
+                b,
+                bias,
+                groups,
+                tanh,
+            } => {
                 // Pre-activation gradient gp = g · act'(y), with act'
                 // computed from the output value alone:
                 // σ: y(1-y); tanh: 1-y². Both summed operands receive gp,
-                // the bias receives its column sums.
-                let deriv = |gi: f32, yi: f32| match kind {
-                    GateKind::Sigmoid => gi * yi * (1.0 - yi),
-                    GateKind::Tanh => gi * (1.0 - yi * yi),
+                // each group's bias its group's column sums.
+                let deriv = |gi: f32, yi: f32| {
+                    if tanh {
+                        gi * (1.0 - yi * yi)
+                    } else {
+                        gi * yi * (1.0 - yi)
+                    }
                 };
-                let mut ga = self.take_grad(*a);
+                let mut ga = self.take_grad(a);
                 for ((o, &gi), &yi) in ga
                     .as_mut_slice()
                     .iter_mut()
@@ -718,7 +854,7 @@ impl Tape {
                     *o += deriv(gi, yi);
                 }
                 self.nodes[a.0].grad = Some(ga);
-                let mut gb = self.take_grad(*b);
+                let mut gb = self.take_grad(b);
                 for ((o, &gi), &yi) in gb
                     .as_mut_slice()
                     .iter_mut()
@@ -728,16 +864,18 @@ impl Tape {
                     *o += deriv(gi, yi);
                 }
                 self.nodes[b.0].grad = Some(gb);
-                let mut gbias = self.take_grad(*bias);
-                {
+                let rows = out.rows() / groups;
+                for grp in 0..groups {
+                    let bias_g = Var(bias.0 + grp);
+                    let mut gbias = self.take_grad(bias_g);
                     let row = gbias.row_mut(0);
-                    for r in 0..out.rows() {
+                    for r in grp * rows..(grp + 1) * rows {
                         for ((o, &gi), &yi) in row.iter_mut().zip(g.row(r)).zip(out.row(r)) {
                             *o += deriv(gi, yi);
                         }
                     }
+                    self.nodes[bias_g.0].grad = Some(gbias);
                 }
-                self.nodes[bias.0].grad = Some(gbias);
             }
             Op::GruBlend(z, h, cand) => {
                 // y = (1-z)⊙h + z⊙cand:
@@ -774,18 +912,21 @@ impl Tape {
                 }
                 self.nodes[cand.0].grad = Some(gc);
             }
-            Op::FilAttention {
-                operands,
-                nf,
-                query,
+            &Op::FilAttention {
+                q,
+                k,
+                v,
                 alpha,
+                nf,
                 scale,
-            } => self.fil_attention_backward(*operands, *nf, *query, *alpha, *scale, g),
+            } => self.fil_attention_backward([q, k, v], alpha, nf, scale, g),
         }
     }
 
-    /// Backward of `u_i = Σ_j α_ij v_j`, `α_i = softmax_j(s · q_i·k_j)` for
-    /// one query `i`, per batch row, given `g = ∂L/∂u_i`:
+    /// Backward of `u_i = Σ_j α_ij v_j`, `α_i = softmax_j(s · q_i·k_j)` per
+    /// batch row, given the stacked `g = ∂L/∂u`. Query features run from
+    /// the last to the first — the order in which the per-query nodes FIL
+    /// was recorded as before it was stacked ran backward — and for each:
     ///
     /// * `dv_j += α_ij g` and `dα_ij = g·v_j`, for `j` descending;
     /// * softmax backward `dS_ij = α_ij (dα_ij − Σ_j' α_ij' dα_ij')`;
@@ -802,58 +943,57 @@ impl Tape {
     /// holds `-0.0`, and `x + ±0.0 = x` for every other `x`.
     fn fil_attention_backward(
         &mut self,
-        operands: usize,
-        nf: usize,
-        query: usize,
+        [q, k, v]: [Var; 3],
         alpha: Var,
+        nf: usize,
         scale: f32,
         g: &Matrix,
     ) {
-        let operand =
-            |tape: &Tape, set: usize, j: usize| tape.fil_operands[operands + set * nf + j];
-        let batch = g.rows();
-        // dα, then dS in place.
+        let batch = g.rows() / nf;
+        // dα, then dS in place; every entry is written before it is read.
         let mut ds = self.alloc_zero(batch, nf);
-        for j in (0..nf).rev() {
-            let vj = operand(self, 2, j);
-            let mut dv = self.take_grad(vj);
-            let (v_val, a_val) = (&self.nodes[vj.0].value, &self.nodes[alpha.0].value);
-            for r in 0..batch {
-                let a = a_val[(r, j)];
-                for (o, &x) in dv.row_mut(r).iter_mut().zip(g.row(r)) {
-                    *o += x * a;
-                }
-                ds[(r, j)] = g
-                    .row(r)
-                    .iter()
-                    .zip(v_val.row(r))
-                    .map(|(&x, &y)| x * y)
-                    .sum();
-            }
-            self.nodes[vj.0].grad = Some(dv);
-        }
-        let a_val = &self.nodes[alpha.0].value;
-        for r in 0..batch {
-            let a_row = a_val.row(r);
-            let d_row = ds.row_mut(r);
-            let dot: f32 = a_row.iter().zip(d_row.iter()).map(|(&y, &gi)| y * gi).sum();
-            for (d, &y) in d_row.iter_mut().zip(a_row) {
-                *d = y * (*d - dot);
-            }
-        }
-        let qi = operand(self, 0, query);
-        for j in (0..nf).rev() {
-            let kj = operand(self, 1, j);
-            for (dst, src) in [(qi, kj), (kj, qi)] {
-                let mut grad = self.take_grad(dst);
-                let src_val = &self.nodes[src.0].value;
+        for i in (0..nf).rev() {
+            let row_i = i * batch;
+            for j in (0..nf).rev() {
+                let mut dv = self.take_grad(v);
+                let (v_val, a_val) = (&self.nodes[v.0].value, &self.nodes[alpha.0].value);
                 for r in 0..batch {
-                    let gs = ds[(r, j)] * scale;
-                    for (o, &x) in grad.row_mut(r).iter_mut().zip(src_val.row(r)) {
-                        *o += gs * x;
+                    let a = a_val[(row_i + r, j)];
+                    let g_row = g.row(row_i + r);
+                    for (o, &x) in dv.row_mut(j * batch + r).iter_mut().zip(g_row) {
+                        *o += x * a;
                     }
+                    ds[(r, j)] = g_row
+                        .iter()
+                        .zip(v_val.row(j * batch + r))
+                        .map(|(&x, &y)| x * y)
+                        .sum();
                 }
-                self.nodes[dst.0].grad = Some(grad);
+                self.nodes[v.0].grad = Some(dv);
+            }
+            let a_val = &self.nodes[alpha.0].value;
+            for r in 0..batch {
+                let a_row = a_val.row(row_i + r);
+                let d_row = ds.row_mut(r);
+                let dot: f32 = a_row.iter().zip(d_row.iter()).map(|(&y, &gi)| y * gi).sum();
+                for (d, &y) in d_row.iter_mut().zip(a_row) {
+                    *d = y * (*d - dot);
+                }
+            }
+            for j in (0..nf).rev() {
+                let row_j = j * batch;
+                for (dst, dst_row, src, src_row) in [(q, row_i, k, row_j), (k, row_j, q, row_i)] {
+                    let mut grad = self.take_grad(dst);
+                    let src_val = &self.nodes[src.0].value;
+                    for r in 0..batch {
+                        let gs = ds[(r, j)] * scale;
+                        let src_r = src_val.row(src_row + r);
+                        for (o, &x) in grad.row_mut(dst_row + r).iter_mut().zip(src_r) {
+                            *o += gs * x;
+                        }
+                    }
+                    self.nodes[dst.0].grad = Some(grad);
+                }
             }
         }
         self.reclaim(ds);
